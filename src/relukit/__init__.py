@@ -4,7 +4,7 @@ ReLU networks with batch normalization."""
 from .datasets import Dataset, Sample, load_idx_dataset, synth_blobs
 from .model_io import load_model, save_model
 from .network import (BatchNorm1DNode, FullyConnectedNode, ReLUNode,
-                      SequentialNetwork, classify, fold_batchnorm, forward,
+                      SequentialNetwork, fold_batchnorm, forward,
                       network_stats, validate)
 from .properties import (Box, LinearAtom, Property, emit_smtlib, parse_smtlib,
                          robustness_property)

@@ -6,21 +6,20 @@ Unknown, 3 any error. All output documents are written atomically.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from .config import (ConfigError, bab_config_from, dataset_from,
                      training_config_from, validate_keys)
+from .experiment import robustness_queries, run_experiment
 from .model_io import atomic_write_text, load_model, save_model
 from .network import network_stats
-from .properties import Box, emit_smtlib, parse_smtlib, robustness_property
+from .properties import emit_smtlib, parse_smtlib
 from .pruning import PruningConfig, prune_pipeline
 from .repair import RepairConfig, repair
 from .training import evaluate, init_network, train
-from .verifier import Status, verify_bab, verify_ibp
+from .verifier import (LPUndecidedError, SpuriousWitnessError, Status,
+                       verify_bab, verify_ibp)
 
 __all__ = ["main"]
 
@@ -102,15 +101,16 @@ def _build_property(args, net):
     if args.sample_index is None or args.epsilon is None or not args.config:
         raise ConfigError("robustness mode needs --config (dataset), "
                           "--sample-index and --epsilon")
+    return _sample_property(args)
+
+
+def _sample_property(args):
+    """The robustness property of --sample-index in the test split, or in
+    the training split when the test split is empty."""
     dataset = _dataset_required(_load_config(args.config))
-    samples = dataset.test or dataset.train
-    if not 0 <= args.sample_index < len(samples):
-        raise ConfigError(f"--sample-index {args.sample_index} out of range "
-                          f"(have {len(samples)} samples)")
-    sample = samples[args.sample_index]
-    domain = Box(np.zeros(dataset.input_dim), np.ones(dataset.input_dim))
-    return robustness_property(sample.input, sample.label, args.epsilon,
-                               domain, dataset.num_classes)
+    return robustness_queries(dataset, dataset.test or dataset.train,
+                              [args.sample_index], args.epsilon,
+                              "--sample-index")[0]
 
 
 def cmd_verify(args) -> int:
@@ -155,15 +155,17 @@ def cmd_repair(args) -> int:
     queries_spec = config.get("queries", {})
     validate_keys(queries_spec, ("count", "indices", "epsilon", "split"),
                   "config.queries")
-    epsilon = float(queries_spec.get("epsilon", 0.01))
-    split = dataset.train if queries_spec.get("split") == "train" else dataset.test
-    indices = queries_spec.get("indices")
-    if indices is None:
-        indices = list(range(int(queries_spec.get("count", 1))))
-    domain = Box(np.zeros(dataset.input_dim), np.ones(dataset.input_dim))
-    properties = [robustness_property(split[i].input, split[i].label, epsilon,
-                                      domain, dataset.num_classes)
-                  for i in indices]
+    if "indices" in queries_spec:
+        indices = [int(i) for i in queries_spec["indices"]]
+        context = "config.queries.indices"
+    else:
+        indices = range(int(queries_spec.get("count", 1)))
+        context = "config.queries.count"
+    split = (dataset.train if queries_spec.get("split") == "train"
+             else dataset.test)
+    properties = robustness_queries(dataset, split, indices,
+                                    float(queries_spec.get("epsilon", 0.01)),
+                                    context)
     repair_spec = dict(config.get("repair", {}))
     validate_keys(repair_spec, ("max_iterations",
                                 "counterexamples_per_property_per_round",
@@ -200,20 +202,11 @@ def cmd_info(args) -> int:
 
 
 def cmd_export_smtlib(args) -> int:
-    dataset = _dataset_required(_load_config(args.config))
-    samples = dataset.test or dataset.train
-    if not 0 <= args.sample_index < len(samples):
-        raise ConfigError(f"--sample-index {args.sample_index} out of range")
-    sample = samples[args.sample_index]
-    domain = Box(np.zeros(dataset.input_dim), np.ones(dataset.input_dim))
-    prop = robustness_property(sample.input, sample.label, args.epsilon,
-                               domain, dataset.num_classes)
-    atomic_write_text(args.out, emit_smtlib(prop))
+    atomic_write_text(args.out, emit_smtlib(_sample_property(args)))
     return EXIT_OK
 
 
 def cmd_experiment(args) -> int:
-    from .experiment import run_experiment
     results = run_experiment(_load_config(args.config))
     _write_json(args.out, results)
     for row in results["table"]:
@@ -301,7 +294,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    # Every relukit error derives from one of these; NonFiniteError is an
+    # ArithmeticError.
+    except (ValueError, ArithmeticError, OSError, LPUndecidedError,
+            SpuriousWitnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

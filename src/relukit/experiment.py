@@ -19,23 +19,36 @@ from .pruning import network_slim, weight_prune
 from .training import evaluate, init_network, train
 from .verifier import Status, root_unstable_count, verify_bab
 
-__all__ = ["run_experiment"]
+__all__ = ["robustness_queries", "run_experiment"]
 
 _TOP_KEYS = ("seed", "dataset", "hidden", "baseline_train", "sparse_train",
              "fine_tune", "wp", "ns", "queries", "verify")
+
+
+def robustness_queries(dataset, samples, indices, epsilon, context):
+    """One robustness property per samples[i], i in indices, on the [0, 1]
+    input domain. An empty selection or an index outside samples is a
+    ConfigError naming `context`, the config field the indices came from."""
+    if not indices:
+        raise ConfigError(f"{context}: selects no samples")
+    domain = Box(np.zeros(dataset.input_dim), np.ones(dataset.input_dim))
+    queries = []
+    for i in indices:
+        if not 0 <= i < len(samples):
+            raise ConfigError(f"{context}: index {i} out of range "
+                              f"(have {len(samples)} samples)")
+        queries.append(robustness_property(samples[i].input, samples[i].label,
+                                           epsilon, domain,
+                                           dataset.num_classes))
+    return queries
 
 
 def _queries_from(obj, dataset):
     validate_keys(obj, ("count", "epsilon"), "queries")
     count = int(obj.get("count", 20))
     epsilon = float(obj.get("epsilon", 0.02))
-    if count > len(dataset.test):
-        raise ConfigError(f"queries.count {count} exceeds test set size "
-                          f"{len(dataset.test)}")
-    domain = Box(np.zeros(dataset.input_dim), np.ones(dataset.input_dim))
-    return [robustness_property(s.input, s.label, epsilon, domain,
-                                dataset.num_classes)
-            for s in dataset.test[:count]]
+    return robustness_queries(dataset, dataset.test, range(count), epsilon,
+                              "queries.count")
 
 
 def _verify_variant(name, net, queries, bab_cfg):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ShapeMismatchError, argmax, as_matrix, as_vector, check_finite
+from .tensor import ShapeMismatchError, as_matrix, as_vector, check_finite
 
 __all__ = [
     "FullyConnectedNode",
@@ -19,7 +19,6 @@ __all__ = [
     "validate",
     "forward",
     "forward_batch",
-    "classify",
     "fold_batchnorm",
     "network_stats",
 ]
@@ -175,42 +174,35 @@ def _require_valid(net: SequentialNetwork) -> None:
 
 
 def forward(net: SequentialNetwork, x) -> np.ndarray:
-    """Inference-mode output; batch norm uses running statistics."""
+    """Inference-mode output for one input vector; see forward_batch."""
     x = as_vector(x)
     if x.shape[0] != net.input_dim:
         raise ShapeMismatchError(
             f"input length {x.shape[0]} != network input_dim {net.input_dim}")
-    h = x
+    return forward_batch(net, x[None, :])[0]
+
+
+def forward_batch(net: SequentialNetwork, xs: np.ndarray) -> np.ndarray:
+    """Inference forward over a (batch, input_dim) matrix of inputs; batch
+    norm uses running statistics.
+
+    Every node's output is checked for NaN/Inf, not just the result: a ReLU
+    would hide a -inf pre-activation.
+    """
+    h = np.asarray(xs, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != net.input_dim:
+        raise ShapeMismatchError(f"expected (batch, {net.input_dim}) inputs, got {h.shape}")
     for i, node in enumerate(net.nodes):
         if isinstance(node, FullyConnectedNode):
-            if h.shape[0] != node.in_dim:
+            if h.shape[1] != node.in_dim:
                 raise ShapeMismatchError(f"dim mismatch entering node {i}")
-            h = node.weights @ h + node.bias
+            h = h @ node.weights.T + node.bias
         elif isinstance(node, BatchNorm1DNode):
             h = node.scale() * (h - node.running_mean) + node.beta
         else:
             h = np.maximum(0.0, h)
         check_finite(h, f"output of node {i}")
     return h
-
-
-def forward_batch(net: SequentialNetwork, xs: np.ndarray) -> np.ndarray:
-    """Inference forward over a (batch, input_dim) matrix of inputs."""
-    h = np.asarray(xs, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != net.input_dim:
-        raise ShapeMismatchError(f"expected (batch, {net.input_dim}) inputs, got {h.shape}")
-    for node in net.nodes:
-        if isinstance(node, FullyConnectedNode):
-            h = h @ node.weights.T + node.bias
-        elif isinstance(node, BatchNorm1DNode):
-            h = node.scale() * (h - node.running_mean) + node.beta
-        else:
-            h = np.maximum(0.0, h)
-    return h
-
-
-def classify(net: SequentialNetwork, x) -> int:
-    return argmax(forward(net, x))
 
 
 def fold_batchnorm(net: SequentialNetwork) -> SequentialNetwork:

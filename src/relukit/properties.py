@@ -53,21 +53,18 @@ class Box:
 
 @dataclass
 class LinearAtom:
-    """coeffs . v <= rhs over either the input (X) or output (Y) vector."""
-    kind: str  # "X" | "Y"
+    """coeffs . Y <= rhs over the output vector Y."""
     coeffs: np.ndarray
     rhs: float
 
     def __post_init__(self):
-        if self.kind not in ("X", "Y"):
-            raise ValueError(f"atom kind must be X or Y, got {self.kind!r}")
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
         self.rhs = float(self.rhs)
         if not np.any(self.coeffs != 0.0):
             raise ValueError("atom with all-zero coefficients")
 
     def key(self):
-        return (self.kind, tuple(self.coeffs.tolist()), self.rhs)
+        return (tuple(self.coeffs.tolist()), self.rhs)
 
 
 @dataclass
@@ -82,7 +79,7 @@ class Property:
             raise ValueError("violation needs at least one nonempty disjunct")
         for disjunct in self.violation:
             for atom in disjunct:
-                if atom.kind != "Y" or atom.coeffs.shape[0] != self.num_outputs:
+                if atom.coeffs.shape[0] != self.num_outputs:
                     raise ValueError("violation atoms must range over the "
                                      f"{self.num_outputs} outputs")
 
@@ -276,7 +273,7 @@ def _to_dnf(tree):
     return out
 
 
-def _dense(term: _LinTerm, prefix: str, dim: int):
+def _dense(term: _LinTerm, dim: int):
     coeffs = np.zeros(dim)
     for var, c in term.coeffs.items():
         coeffs[int(var.split("_")[1])] = c
@@ -370,7 +367,7 @@ def parse_smtlib(text: str) -> Property:
     disjuncts = []
     for conj in _to_dnf(combined):
         disjuncts.append([
-            LinearAtom("Y", _dense(term, "Y", m), -term.const)
+            LinearAtom(_dense(term, m), -term.const)
             for _, term, _ in conj])
     return Property(Box(lo, hi), disjuncts, num_outputs=m,
                     source={"type": "smtlib"})
@@ -458,7 +455,7 @@ def robustness_property(x0, label: int, epsilon: float, domain_box: Box,
         coeffs = np.zeros(num_classes)
         coeffs[label] = 1.0
         coeffs[j] = -1.0
-        disjuncts.append([LinearAtom("Y", coeffs, 0.0)])
+        disjuncts.append([LinearAtom(coeffs, 0.0)])
     return Property(Box(lo, hi), disjuncts, num_outputs=num_classes,
                     source={"type": "robustness", "label": int(label),
                             "epsilon": float(epsilon), "x0": x0.tolist()})

@@ -4,8 +4,7 @@ into the training set, retrain, repeat."""
 from dataclasses import dataclass, field
 
 from .datasets import Dataset, Sample
-from .network import SequentialNetwork
-from .properties import Property
+from .network import BatchNorm1DNode, SequentialNetwork, network_stats
 from .training import TrainingConfig, evaluate, init_network, train
 from .verifier import BabConfig, Status, falsify_sample, verify_bab
 
@@ -84,9 +83,8 @@ def repair(net: SequentialNetwork, properties: list, dataset: Dataset,
         total_added += added
 
         if config.from_scratch:
-            from .network import network_stats
             widths = network_stats(net)["widths"]
-            has_bn = any(type(n).__name__ == "BatchNorm1DNode" for n in net.nodes)
+            has_bn = any(isinstance(n, BatchNorm1DNode) for n in net.nodes)
             net = init_network(widths, seed=config.trainer.seed, with_bn=has_bn,
                               name=net.name)
         net, _ = train(net, dataset, config.trainer)

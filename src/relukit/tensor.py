@@ -1,7 +1,7 @@
-"""Dense numeric kernel: the primitives every other module composes.
+"""Array coercion and shape/finiteness checks shared by every module.
 
 All numeric data is float64 numpy, row-major. W[i][j] is the weight from
-input j to output neuron i, so affine computes W @ x + b.
+input j to output neuron i.
 """
 
 import numpy as np
@@ -12,10 +12,6 @@ __all__ = [
     "as_vector",
     "as_matrix",
     "check_finite",
-    "affine",
-    "scale_shift",
-    "relu",
-    "argmax",
 ]
 
 
@@ -42,48 +38,6 @@ def as_matrix(w) -> np.ndarray:
 
 
 def check_finite(arr: np.ndarray, context: str = "result") -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {context}")
     return arr
-
-
-def affine(w, x, b) -> np.ndarray:
-    """W @ x + b for W of shape (r, c), x of length c, b of length r."""
-    w = as_matrix(w)
-    x = as_vector(x)
-    b = as_vector(b)
-    r, c = w.shape
-    if x.shape[0] != c:
-        raise ShapeMismatchError(
-            f"matrix has {c} columns but vector has length {x.shape[0]}"
-        )
-    if b.shape[0] != r:
-        raise ShapeMismatchError(
-            f"matrix has {r} rows but bias has length {b.shape[0]}"
-        )
-    return check_finite(w @ x + b, "affine output")
-
-
-def scale_shift(scale, shift, x) -> np.ndarray:
-    """Elementwise scale * x + shift."""
-    scale = as_vector(scale)
-    shift = as_vector(shift)
-    x = as_vector(x)
-    if not (scale.shape == shift.shape == x.shape):
-        raise ShapeMismatchError(
-            f"length mismatch: scale {scale.shape[0]}, shift {shift.shape[0]}, "
-            f"x {x.shape[0]}"
-        )
-    return check_finite(scale * x + shift, "scale_shift output")
-
-
-def relu(x) -> np.ndarray:
-    return np.maximum(0.0, np.asarray(x, dtype=np.float64))
-
-
-def argmax(x) -> int:
-    """Index of the maximum entry, ties broken toward the lowest index."""
-    x = as_vector(x)
-    if x.shape[0] == 0:
-        raise ShapeMismatchError("argmax of an empty vector")
-    return int(np.argmax(x))

@@ -15,8 +15,8 @@ from .network import (BatchNorm1DNode, FullyConnectedNode, ReLUNode,
                       SequentialNetwork, forward_batch, validate)
 from .tensor import NonFiniteError
 
-__all__ = ["TrainingConfig", "AdamState", "init_network", "forward_train",
-           "loss_and_grads", "adam_step", "train", "evaluate"]
+__all__ = ["TrainingConfig", "AdamState", "init_network", "loss_and_grads",
+           "adam_step", "train", "evaluate"]
 
 
 @dataclass
@@ -133,24 +133,6 @@ def _forward_train(net: SequentialNetwork, xs: np.ndarray):
     return h, cache
 
 
-def forward_train(net: SequentialNetwork, xs: np.ndarray,
-                  momentum: float = 0.1):
-    """Training-mode forward pass with running-statistics update.
-
-    Returns (outputs, cache, updated_net); the input net is not mutated.
-    Running stats follow r <- (1 - momentum) * r + momentum * batch_stat.
-    """
-    outputs, cache = _forward_train(net, xs)
-    updated = net.copy()
-    for i, node in enumerate(updated.nodes):
-        if isinstance(node, BatchNorm1DNode):
-            node.running_mean = ((1 - momentum) * node.running_mean
-                                 + momentum * cache[i]["mu"])
-            node.running_var = ((1 - momentum) * node.running_var
-                                + momentum * cache[i]["var"])
-    return outputs, cache, updated
-
-
 def _softmax_ce(logits: np.ndarray, labels: np.ndarray):
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -252,14 +234,17 @@ def _stack_split(samples):
     return xs, ys
 
 
-def _literal_objective(net: SequentialNetwork, xs, ys, lam: float):
+def _misclassified(net: SequentialNetwork, xs, ys) -> int:
+    return int((forward_batch(net, xs).argmax(axis=1) != ys).sum())
+
+
+def _literal_objective(net: SequentialNetwork, err01: float,
+                       n_samples: int, lam: float):
     """0-1 empirical risk plus lambda times the unsquared L2 regularizer."""
-    preds = forward_batch(net, xs).argmax(axis=1)
-    err01 = float((preds != ys).mean())
     sq = sum(float(np.sum(n.weights ** 2)) for n in net.nodes
              if isinstance(n, FullyConnectedNode))
-    reg = np.sqrt(sq) / (2 * xs.shape[0])
-    return err01 + lam * reg, err01, reg
+    reg = np.sqrt(sq) / (2 * n_samples)
+    return err01 + lam * reg, reg
 
 
 def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
@@ -280,6 +265,7 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
 
     xs_all, ys_all = _stack_split(dataset.train)
     n = xs_all.shape[0]
+    test_split = _stack_split(dataset.test) if dataset.test else None
     rng = np.random.default_rng(config.seed)
     state = AdamState()
     has_bn = _has_bn(net)
@@ -311,10 +297,11 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
                 epoch_parts[key] += parts[key]
 
         n_batches = len(starts)
-        train_acc, _ = evaluate(net, dataset.train)
-        test_acc = evaluate(net, dataset.test)[0] if dataset.test else float("nan")
-        literal_j, err01, literal_reg = _literal_objective(
-            net, xs_all, ys_all, config.l2_lambda)
+        err01 = _misclassified(net, xs_all, ys_all) / n
+        test_acc = (1.0 - _misclassified(net, *test_split) / len(dataset.test)
+                    if test_split else float("nan"))
+        literal_j, literal_reg = _literal_objective(net, err01, n,
+                                                    config.l2_lambda)
         metrics.append({
             "epoch": epoch,
             "loss": epoch_loss / n_batches,
@@ -324,7 +311,7 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
             "literal_objective": literal_j,
             "literal_err01": err01,
             "literal_regularizer": literal_reg,
-            "train_accuracy": train_acc,
+            "train_accuracy": 1.0 - err01,
             "test_accuracy": test_acc,
         })
     return net, metrics
@@ -334,7 +321,5 @@ def evaluate(net: SequentialNetwork, samples):
     """(accuracy, misclassification count) over a sample list."""
     if not samples:
         raise ValueError("cannot evaluate on an empty sample list")
-    xs, ys = _stack_split(samples)
-    preds = forward_batch(net, xs).argmax(axis=1)
-    wrong = int((preds != ys).sum())
+    wrong = _misclassified(net, *_stack_split(samples))
     return 1.0 - wrong / len(samples), wrong

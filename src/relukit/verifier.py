@@ -73,15 +73,12 @@ class BabConfig:
             raise ValueError("BabConfig fields must be positive")
 
 
+def _is_folded(net: SequentialNetwork) -> bool:
+    return all(isinstance(n, (FullyConnectedNode, ReLUNode)) for n in net.nodes)
+
+
 def _folded(net: SequentialNetwork) -> SequentialNetwork:
-    if any(not isinstance(n, (FullyConnectedNode, ReLUNode)) for n in net.nodes):
-        return fold_batchnorm(net)
-    return net
-
-
-def _check_folded(net: SequentialNetwork) -> None:
-    if any(not isinstance(n, (FullyConnectedNode, ReLUNode)) for n in net.nodes):
-        raise ValueError("expected a folded (FC/ReLU only) network")
+    return net if _is_folded(net) else fold_batchnorm(net)
 
 
 def interval_forward(net: SequentialNetwork, box: Box):
@@ -91,7 +88,8 @@ def interval_forward(net: SequentialNetwork, box: Box):
     bounds, ReLU entries the clamped post-activation bounds. Sound: every
     concrete activation for x in box lies inside its interval.
     """
-    _check_folded(net)
+    if not _is_folded(net):
+        raise ValueError("expected a folded (FC/ReLU only) network")
     lo, hi = box.lo.copy(), box.hi.copy()
     bounds = []
     for node in net.nodes:
@@ -112,13 +110,22 @@ def _atom_lower_bound(atom: LinearAtom, lo: np.ndarray, hi: np.ndarray) -> float
     return float(pos @ lo + neg @ hi)
 
 
-def _refuted_disjuncts(violation, lo, hi):
-    """Indices of disjuncts that the output bounds prove unsatisfiable."""
-    out = set()
-    for j, disjunct in enumerate(violation):
-        if any(_atom_lower_bound(a, lo, hi) > a.rhs for a in disjunct):
-            out.add(j)
-    return out
+def _bound(net: SequentialNetwork, box: Box, violation=()):
+    """The bounding step over a folded network, shared by every engine.
+
+    Returns (pre_bounds, unstable, alive): the interval bounds of each hidden
+    pre-activation, the number of hidden ReLUs whose bounds straddle 0, and
+    the indices of the violation disjuncts the output bounds do not refute.
+    """
+    bounds = interval_forward(net, box)
+    pre_bounds = [b for b, n in zip(bounds, net.nodes)
+                  if isinstance(n, FullyConnectedNode)][:-1]
+    unstable = sum(int(np.sum((lo < 0.0) & (hi > 0.0))) for lo, hi in pre_bounds)
+    out_lo, out_hi = bounds[-1]
+    alive = [j for j, disjunct in enumerate(violation)
+             if not any(_atom_lower_bound(a, out_lo, out_hi) > a.rhs
+                        for a in disjunct)]
+    return pre_bounds, unstable, alive
 
 
 def _validated_cex(net, prop, x) -> Optional[Counterexample]:
@@ -137,11 +144,10 @@ def _sample_points(box: Box, count: int, rng) -> np.ndarray:
     return np.vstack([center, pts])
 
 
-def _find_witness(net, prop, points, alive=None) -> Optional[Counterexample]:
+def _find_witness(net, prop, points) -> Optional[Counterexample]:
     ys = forward_batch(net, points)
-    disjuncts = range(len(prop.violation)) if alive is None else alive
     for i in range(points.shape[0]):
-        for j in disjuncts:
+        for j in range(len(prop.violation)):
             if satisfies_disjunct(ys[i], prop.violation[j], tol=0.0):
                 return Counterexample(points[i], ys[i], j)
     return None
@@ -152,11 +158,9 @@ def verify_ibp(net: SequentialNetwork, prop: Property,
     """One-shot interval verification with a quick sampling falsification."""
     start = time.monotonic()
     folded = _folded(net)
-    bounds = interval_forward(folded, prop.input_box)
-    lo, hi = bounds[-1]
-    refuted = _refuted_disjuncts(prop.violation, lo, hi)
+    _, _, alive = _bound(folded, prop.input_box, prop.violation)
     stats = {"nodes": 1, "lp_calls": 0}
-    if len(refuted) == len(prop.violation):
+    if not alive:
         stats["wall_time"] = time.monotonic() - start
         return VerificationResult(Status.VERIFIED, stats=stats)
     rng = np.random.default_rng(seed)
@@ -193,7 +197,8 @@ def _affine_maps(net: SequentialNetwork, pattern: np.ndarray):
     Returns (sign_rows, sign_rhs, a_out, c_out): sign constraints already
     oriented as rows @ x <= rhs.
     """
-    _check_folded(net)
+    if not _is_folded(net):
+        raise ValueError("expected a folded (FC/ReLU only) network")
     d = net.input_dim
     a = np.eye(d)
     c = np.zeros(d)
@@ -302,48 +307,33 @@ def verify_bab(net: SequentialNetwork, prop: Property,
         box = worklist.pop()
         nodes += 1
 
-        bounds = interval_forward(folded, box)
-        out_lo, out_hi = bounds[-1]
-        refuted = _refuted_disjuncts(prop.violation, out_lo, out_hi)
-        alive = [j for j in range(len(prop.violation)) if j not in refuted]
+        pre_bounds, free, alive = _bound(folded, box, prop.violation)
         if not alive:
             continue
 
         witness = _find_witness(folded, prop,
-                                _sample_points(box, config.sample_count, rng),
-                                alive=None)
+                                _sample_points(box, config.sample_count, rng))
         if witness is not None:
             cex = _validated_cex(net, prop, witness.input)
             if cex is not None:
                 return result(Status.FALSIFIED, cex)
 
-        pre_bounds = [bounds[i] for i, n in enumerate(folded.nodes)
-                      if isinstance(n, FullyConnectedNode)][:-1]
-        free = sum(int(np.sum((b[0] < 0.0) & (b[1] > 0.0))) for b in pre_bounds)
-        widths = box.hi - box.lo
-        split_dim = int(np.argmax(widths))
-        can_split = widths[split_dim] >= config.min_box_width
-        if free <= config.enum_threshold or not can_split:
-            if free > config.enum_threshold:
-                undecided += 1  # box too thin to split, too wide to enumerate
-                continue
+        if free <= config.enum_threshold:
             try:
                 cex = _enum_decide(folded, box, prop, alive, pre_bounds,
                                    counters)
             except (SpuriousWitnessError, LPUndecidedError):
-                if not can_split:
-                    undecided += 1
-                    continue
-                mid = (box.lo[split_dim] + box.hi[split_dim]) / 2.0
-                left_hi = box.hi.copy(); left_hi[split_dim] = mid
-                right_lo = box.lo.copy(); right_lo[split_dim] = mid
-                worklist.append(Box(box.lo.copy(), left_hi))
-                worklist.append(Box(right_lo, box.hi.copy()))
+                pass  # no exact decision here: split the box instead
+            else:
+                if cex is not None:
+                    return result(Status.FALSIFIED, cex)
                 continue
-            if cex is not None:
-                return result(Status.FALSIFIED, cex)
-            continue
 
+        widths = box.hi - box.lo
+        split_dim = int(np.argmax(widths))
+        if widths[split_dim] < config.min_box_width:
+            undecided += 1  # box too thin to split, not decided exactly
+            continue
         mid = (box.lo[split_dim] + box.hi[split_dim]) / 2.0
         left_hi = box.hi.copy(); left_hi[split_dim] = mid
         right_lo = box.lo.copy(); right_lo[split_dim] = mid
@@ -379,8 +369,4 @@ def falsify_sample(net: SequentialNetwork, prop: Property, n_samples: int,
 
 def root_unstable_count(net: SequentialNetwork, box: Box) -> int:
     """Number of hidden ReLUs whose root IBP pre-activation straddles 0."""
-    folded = _folded(net)
-    bounds = interval_forward(folded, box)
-    pre = [bounds[i] for i, n in enumerate(folded.nodes)
-           if isinstance(n, FullyConnectedNode)][:-1]
-    return sum(int(np.sum((b[0] < 0.0) & (b[1] > 0.0))) for b in pre)
+    return _bound(_folded(net), box)[1]

@@ -114,18 +114,6 @@ def exact_pattern_verdict(fc_layers, box_lo, box_hi, violation):
     return False
 
 
-def affine_double_loop(w, x, b):
-    """Naive double-loop W @ x + b."""
-    r, cdim = len(w), len(w[0])
-    out = []
-    for i in range(r):
-        acc = b[i]
-        for j in range(cdim):
-            acc += w[i][j] * x[j]
-        out.append(acc)
-    return np.array(out)
-
-
 def finite_diff_grads(loss_fn, params, h=1e-5):
     """Central finite differences of loss_fn(params) for every entry."""
     grads = {}

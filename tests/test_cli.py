@@ -65,6 +65,15 @@ class TestTrain:
                      "--out", str(tmp_path / "m.json")]) == 3
         assert "trian" in capsys.readouterr().err
 
+    def test_non_finite_training_exits_three(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "huge_lr.json", {
+            "dataset": SYNTH, "net": {"hidden": [8]},
+            "train": {"epochs": 2, "learning_rate": 1e300}})
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", cfg,
+                         "--out", str(tmp_path / "m.json")]) == 3
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_config_file_errors(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "m.json")]) == 3
@@ -178,6 +187,27 @@ class TestRepairCommand:
         doc = json.loads(report.read_text())
         assert len(doc["final_statuses"]) == 2
         assert load_model(str(out)).input_dim == 2
+
+    @pytest.mark.parametrize("index", [999, -1])
+    def test_query_index_out_of_range(self, tmp_path, trained_model, index,
+                                      capsys):
+        cfg = write_json(tmp_path / "repair.json", {
+            "dataset": SYNTH, "queries": {"indices": [0, index]}})
+        out = tmp_path / "repaired.json"
+        assert main(["repair", "--model", trained_model, "--config", cfg,
+                     "--out", str(out)]) == 3
+        assert f"index {index} out of range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count,message", [(999, "out of range"),
+                                               (-1, "selects no samples")])
+    def test_bad_query_count(self, tmp_path, trained_model, count, message,
+                             capsys):
+        cfg = write_json(tmp_path / "repair.json", {
+            "dataset": SYNTH, "queries": {"count": count}})
+        assert main(["repair", "--model", trained_model, "--config", cfg,
+                     "--out", str(tmp_path / "repaired.json")]) == 3
+        assert message in capsys.readouterr().err
 
 
 class TestEvalInfo:

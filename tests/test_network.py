@@ -3,14 +3,27 @@ import pytest
 
 from conftest import random_net
 from relukit.network import (BatchNorm1DNode, FullyConnectedNode, ReLUNode,
-                             SequentialNetwork, classify, fold_batchnorm,
-                             forward, network_stats, validate)
-from relukit.tensor import ShapeMismatchError, argmax
+                             SequentialNetwork, fold_batchnorm, forward,
+                             forward_batch, network_stats, validate)
+from relukit.tensor import NonFiniteError, ShapeMismatchError
 
 
 def identity_bn(dim, eps=0.0):
     return BatchNorm1DNode(np.ones(dim), np.zeros(dim), np.zeros(dim),
                            np.ones(dim), eps if eps > 0 else 1e-300)
+
+
+def matvec_forward(net, x):
+    """Reference inference pass, one matrix-vector product per FC node."""
+    h = np.asarray(x, dtype=np.float64)
+    for node in net.nodes:
+        if isinstance(node, FullyConnectedNode):
+            h = node.weights @ h + node.bias
+        elif isinstance(node, BatchNorm1DNode):
+            h = node.scale() * (h - node.running_mean) + node.beta
+        else:
+            h = np.maximum(0.0, h)
+    return h
 
 
 class TestValidate:
@@ -73,19 +86,38 @@ class TestForward:
         assert np.array_equal(forward(net, x), forward(net, x))
 
 
-class TestClassify:
-    def test_agrees_with_argmax_of_forward(self):
-        rng = np.random.default_rng(4)
-        for trial in range(50):
-            net = random_net([3, 6, 4], seed=trial)
-            for _ in range(20):
-                x = rng.uniform(size=3)
-                assert classify(net, x) == argmax(forward(net, x))
+class TestForwardBatch:
+    def test_relu_masked_overflow_raises(self):
+        # -1e308 * 10 overflows to -inf; the ReLU after it would output 0
+        # and the result would look finite.
+        net = SequentialNetwork("ovf", 1, [
+            FullyConnectedNode([[-1e308]], [0.0]),
+            ReLUNode(1),
+            FullyConnectedNode([[1.0]], [0.0]),
+        ])
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError, match="node 0"):
+                forward_batch(net, np.array([[0.5], [10.0]]))
+            with pytest.raises(NonFiniteError):
+                forward(net, [10.0])
+            assert np.array_equal(forward_batch(net, [[0.5]]), [[0.0]])
 
-    def test_tie_break(self):
-        net = SequentialNetwork("tie", 1,
-                                [FullyConnectedNode([[0.0], [0.0]], [1.0, 1.0])])
-        assert classify(net, [5.0]) == 0
+    @pytest.mark.parametrize("with_bn", [True, False])
+    def test_forward_is_a_one_row_batch(self, with_bn):
+        rng = np.random.default_rng(12)
+        for trial in range(20):
+            net = random_net([5, 16, 8, 3], seed=trial, with_bn=with_bn)
+            for _ in range(10):
+                x = rng.uniform(-2, 2, size=5)
+                y = forward(net, x)
+                assert np.array_equal(y, forward_batch(net, x[None])[0])
+                assert np.allclose(y, matvec_forward(net, x),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_wrong_input_shape(self):
+        net = random_net([3, 4, 2], seed=1)
+        with pytest.raises(ShapeMismatchError):
+            forward_batch(net, np.zeros(3))
 
 
 class TestFoldBatchnorm:

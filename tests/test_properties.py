@@ -26,7 +26,7 @@ def random_property(rng):
             coeffs = np.round(rng.normal(size=m), 3)
             if not np.any(coeffs):
                 coeffs[0] = 1.0
-            atoms.append(LinearAtom("Y", coeffs, float(np.round(rng.normal(), 3))))
+            atoms.append(LinearAtom(coeffs, float(np.round(rng.normal(), 3))))
         disjuncts.append(atoms)
     return Property(Box(lo, hi), disjuncts, num_outputs=m)
 
@@ -167,4 +167,4 @@ class TestModelInvariants:
 
     def test_atom_rejects_zero_coeffs(self):
         with pytest.raises(ValueError):
-            LinearAtom("Y", [0.0, 0.0], 1.0)
+            LinearAtom([0.0, 0.0], 1.0)

@@ -29,7 +29,7 @@ class TestConfigAndInputs:
     def test_generic_property_rejected(self):
         net, ds = trained_blob_net()
         generic = Property(Box(np.zeros(2), np.ones(2)),
-                           [[LinearAtom("Y", [1.0, 0.0], 0.0)]], 2)
+                           [[LinearAtom([1.0, 0.0], 0.0)]], 2)
         with pytest.raises(ValueError, match="label"):
             repair(net, [generic], ds, RepairConfig())
 

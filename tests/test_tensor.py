@@ -1,106 +1,30 @@
 import numpy as np
 import pytest
 
-from oracles import affine_double_loop
-from relukit.tensor import (NonFiniteError, ShapeMismatchError, affine,
-                            argmax, relu, scale_shift)
+from relukit.tensor import (NonFiniteError, ShapeMismatchError, as_matrix,
+                            as_vector, check_finite)
 
 
-class TestAffine:
-    def test_basic(self):
-        out = affine([[1, 2], [3, 4]], [1, 1], [0, 0])
-        assert np.array_equal(out, [3, 7])
+class TestCoercion:
+    def test_vector_is_float64(self):
+        v = as_vector([1, 2, 3])
+        assert v.dtype == np.float64 and np.array_equal(v, [1.0, 2.0, 3.0])
 
-    def test_identity(self):
-        out = affine(np.eye(3), [5, -1, 0], [0, 0, 0])
-        assert np.array_equal(out, [5, -1, 0])
+    def test_vector_rejects_matrix(self):
+        with pytest.raises(ShapeMismatchError, match="1-D"):
+            as_vector([[1.0, 2.0]])
 
-    def test_matches_double_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            w = rng.normal(size=(8, 8))
-            x = rng.normal(size=8)
-            b = rng.normal(size=8)
-            assert np.max(np.abs(affine(w, x, b)
-                                 - affine_double_loop(w, x, b))) <= 1e-12
-
-    def test_shape_mismatch_names_dims(self):
-        with pytest.raises(ShapeMismatchError, match="3 columns.*length 2"):
-            affine(np.zeros((2, 3)), [1, 2], [0, 0])
-        with pytest.raises(ShapeMismatchError, match="bias"):
-            affine(np.zeros((2, 3)), [1, 2, 3], [0, 0, 0])
-
-    def test_non_finite_result(self):
-        with pytest.raises(NonFiniteError):
-            affine([[1e308, 1e308]], [1e308, 1e308], [0.0])
-
-    def test_linearity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            w = rng.normal(size=(5, 4))
-            x, y = rng.normal(size=4), rng.normal(size=4)
-            a = rng.normal()
-            zero = np.zeros(5)
-            lhs = affine(w, a * x + y, zero)
-            rhs = a * affine(w, x, zero) + affine(w, y, zero)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-10
+    def test_matrix_rejects_vector(self):
+        with pytest.raises(ShapeMismatchError, match="2-D"):
+            as_matrix([1.0, 2.0])
 
 
-class TestScaleShift:
-    def test_identity(self):
-        assert np.array_equal(scale_shift([1, 1], [0, 0], [3, 4]), [3, 4])
+class TestCheckFinite:
+    def test_finite_passes_through(self):
+        arr = np.array([0.0, -1e308, 1e308])
+        assert check_finite(arr) is arr
 
-    def test_basic(self):
-        assert np.array_equal(scale_shift([2, -1], [1, 1], [1, 1]), [3, 0])
-
-    def test_matches_elementwise_loop(self):
-        rng = np.random.default_rng(11)
-        s, t, x = rng.normal(size=(3, 16))
-        expected = np.array([s[i] * x[i] + t[i] for i in range(16)])
-        assert np.array_equal(scale_shift(s, t, x), expected)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            scale_shift([1, 2], [0], [3, 4])
-
-
-class TestRelu:
-    def test_definition(self):
-        assert np.array_equal(relu([-1, 0, 2]), [0, 0, 2])
-
-    def test_all_negative(self):
-        assert np.array_equal(relu([-5, -1, -0.1]), [0, 0, 0])
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            x = rng.normal(size=10)
-            assert np.array_equal(relu(relu(x)), relu(x))
-
-    def test_monotone(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            x = rng.normal(size=8)
-            y = x + np.abs(rng.normal(size=8))
-            assert np.all(relu(x) <= relu(y))
-
-
-class TestArgmax:
-    def test_definition(self):
-        assert argmax([0.1, 0.7, 0.2]) == 1
-
-    def test_tie_break_lowest_index(self):
-        assert argmax([3, 3, 1]) == 0
-
-    def test_singleton(self):
-        assert argmax([42.0]) == 0
-
-    def test_empty_errors(self):
-        with pytest.raises(ShapeMismatchError):
-            argmax([])
-
-    def test_constant_shift_invariant(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            x = rng.normal(size=7)
-            assert argmax(x) == argmax(x + rng.normal())
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_names_context(self, bad):
+        with pytest.raises(NonFiniteError, match="node 3"):
+            check_finite(np.array([1.0, bad]), "node 3")

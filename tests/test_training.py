@@ -6,9 +6,8 @@ from oracles import finite_diff_grads
 from relukit.datasets import Dataset, Sample, synth_blobs
 from relukit.network import BatchNorm1DNode, FullyConnectedNode, forward_batch
 from relukit.training import (AdamState, TrainingConfig, adam_step, evaluate,
-                              forward_train, init_network, loss_and_grads,
-                              train)
-from relukit.training import _assign_params, _collect_params
+                              init_network, loss_and_grads, train)
+from relukit.training import _assign_params, _collect_params, _forward_train
 
 
 def grad_check(net, xs, ys, config, h=1e-5):
@@ -34,7 +33,7 @@ class TestForwardTrain:
     def test_constant_batch_outputs_beta(self):
         net = random_net([3, 4, 2], seed=0)
         xs = np.tile(np.array([0.3, 0.5, 0.7]), (4, 1))
-        _, cache, _ = forward_train(net, xs)
+        _, cache = _forward_train(net, xs)
         bn_idx = next(i for i, n in enumerate(net.nodes)
                       if isinstance(n, BatchNorm1DNode))
         # zero batch variance -> normalized activations 0 -> BN output beta
@@ -50,24 +49,31 @@ class TestForwardTrain:
         # feed a batch whose FC output is standardized by construction
         w_inv = np.linalg.pinv(fc.weights.T)
         xs2 = (pre - fc.bias) @ w_inv
-        out, cache, _ = forward_train(net, xs2)
+        out, cache = _forward_train(net, xs2)
         bn_out = net.nodes[1].gamma * cache[1]["xhat"] + net.nodes[1].beta
         assert np.allclose(bn_out, cache[1]["xhat"], atol=1e-8)
 
     def test_momentum_one_running_stats_equal_batch_stats(self):
+        # One full-batch epoch: the running stats become the batch stats
+        # of the single forward pass, taken before the Adam step.
         net = random_net([2, 3, 2], seed=2)
-        xs = np.random.default_rng(1).normal(size=(8, 2))
-        _, cache, updated = forward_train(net, xs, momentum=1.0)
-        bn_idx = next(i for i, n in enumerate(net.nodes)
-                      if isinstance(n, BatchNorm1DNode))
-        bn = updated.nodes[bn_idx]
-        assert np.allclose(bn.running_mean, cache[bn_idx]["mu"])
-        assert np.allclose(bn.running_var, cache[bn_idx]["var"])
+        ds = synth_blobs(1, 5, 2, 2, 0.1)
+        cfg = TrainingConfig(epochs=1, batch_size=len(ds.train),
+                             bn_momentum=1.0)
+        trained, _ = train(net, ds, cfg)
+        xs = np.stack([s.input for s in ds.train])
+        ys = np.array([s.label for s in ds.train])
+        bn_stats = loss_and_grads(net, xs, ys, cfg)[2]["bn_stats"]
+        assert bn_stats
+        for i, (mu, var) in bn_stats.items():
+            assert np.allclose(trained.nodes[i].running_mean, mu)
+            assert np.allclose(trained.nodes[i].running_var, var)
 
     def test_singleton_batch_with_bn_errors(self):
         net = random_net([2, 3, 2], seed=3)
         with pytest.raises(ValueError, match="batch"):
-            forward_train(net, np.zeros((1, 2)))
+            loss_and_grads(net, np.zeros((1, 2)), np.zeros(1, dtype=int),
+                           TrainingConfig())
 
 
 class TestLossAndGrads:
@@ -159,6 +165,16 @@ class TestTrain:
         train(net, ds, TrainingConfig(epochs=2, batch_size=8))
         for k, v in _collect_params(net).items():
             assert np.array_equal(v, before[k])
+
+    def test_epoch_accuracies_match_evaluate(self):
+        ds = synth_blobs(3, 30, 3, 2, 0.2)
+        net = init_network([2, 8, 3], seed=3)
+        trained, metrics = train(net, ds, TrainingConfig(
+            epochs=3, batch_size=16, learning_rate=0.01))
+        last = metrics[-1]
+        assert last["train_accuracy"] == 1.0 - last["literal_err01"]
+        assert last["train_accuracy"] == evaluate(trained, ds.train)[0]
+        assert last["test_accuracy"] == evaluate(trained, ds.test)[0]
 
     def test_learns_blobs(self):
         ds = synth_blobs(1, 50, 2, 2, 0.05)

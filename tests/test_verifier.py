@@ -21,7 +21,7 @@ def identity_net(d=1):
 
 
 def violation(coeffs, rhs):
-    return [[LinearAtom("Y", coeffs, rhs)]]
+    return [[LinearAtom(coeffs, rhs)]]
 
 
 def abs_net():
@@ -152,13 +152,13 @@ class TestCheckPattern:
     def test_identity_infeasible(self):
         net = identity_net()
         x = check_pattern(net, Box([0.0], [1.0]), np.zeros(0, dtype=int),
-                          [LinearAtom("Y", [-1.0], -2.0)])
+                          [LinearAtom([-1.0], -2.0)])
         assert x is None
 
     def test_identity_feasible_half(self):
         net = identity_net()
         x = check_pattern(net, Box([0.0], [1.0]), np.zeros(0, dtype=int),
-                          [LinearAtom("Y", [-1.0], -0.5)])
+                          [LinearAtom([-1.0], -0.5)])
         assert x is not None and x[0] >= 0.5 - 1e-9
 
     def test_impossible_inactive_pattern(self):
@@ -168,7 +168,7 @@ class TestCheckPattern:
             ReLUNode(1),
             FullyConnectedNode([[1.0]], [0.0])])
         x = check_pattern(net, Box([0.0], [1.0]), np.array([0]),
-                          [LinearAtom("Y", [-1.0], 0.0)])
+                          [LinearAtom([-1.0], 0.0)])
         assert x is None
 
 
