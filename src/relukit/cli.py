@@ -38,6 +38,13 @@ def _write_json(path: str, doc) -> None:
     atomic_write_text(path, json.dumps(doc, indent=1))
 
 
+def _override(spec, **flags):
+    """spec with each flag given on the command line (a spec that is not an
+    object goes through unchanged, for the config builder to reject)."""
+    given = {k: v for k, v in flags.items() if v is not None}
+    return {**spec, **given} if isinstance(spec, dict) else spec
+
+
 def _dataset_required(config: dict):
     if "dataset" not in config:
         raise ConfigError("config: missing 'dataset' section")
@@ -61,9 +68,8 @@ def cmd_train(args) -> int:
         net = init_network(widths, seed=int(net_spec.get("init_seed", 0)),
                            with_bn=bool(net_spec.get("with_bn", True)),
                            name=str(net_spec.get("name", "net")))
-    train_cfg = training_config_from(config.get("train", {}), "config.train")
-    if args.seed is not None:
-        train_cfg.seed = args.seed
+    train_cfg = training_config_from(
+        _override(config.get("train", {}), seed=args.seed), "config.train")
     trained, metrics = train(net, dataset, train_cfg)
     save_model(trained, args.out)
     if args.metrics:
@@ -120,13 +126,9 @@ def cmd_verify(args) -> int:
         raise ConfigError(
             f"property dims ({prop.input_box.dim} in, {prop.num_outputs} out) "
             f"do not match model ({net.input_dim} in, {net.output_dim} out)")
-    bab_cfg = bab_config_from({}, "verify")
-    if args.timeout is not None:
-        bab_cfg.time_budget = args.timeout
-    if args.max_nodes is not None:
-        bab_cfg.max_nodes = args.max_nodes
-    if args.seed is not None:
-        bab_cfg.seed = args.seed
+    bab_cfg = bab_config_from(_override({}, time_budget=args.timeout,
+                                        max_nodes=args.max_nodes,
+                                        seed=args.seed), "verify")
     if args.engine == "ibp":
         result = verify_ibp(net, prop, sample_count=bab_cfg.sample_count,
                             seed=bab_cfg.seed)

@@ -61,13 +61,14 @@ def dataset_from(obj: dict, context: str = "dataset") -> Dataset:
         return synth_blobs(**spec)
     spec = obj["idx"]
     validate_keys(spec, _IDX_KEYS, f"{context}.idx")
-    missing = {"input_dim", "num_classes"} - set(spec)
+    missing = set(_IDX_KEYS) - set(spec)
     if missing:
         raise ConfigError(f"{context}.idx: missing keys {sorted(missing)}")
-    ds = Dataset(input_dim=int(spec["input_dim"]),
-                 num_classes=int(spec["num_classes"]))
-    if "train_images" in spec:
-        load_idx_dataset(spec["train_images"], spec["train_labels"], "train", ds)
-    if "test_images" in spec:
-        load_idx_dataset(spec["test_images"], spec["test_labels"], "test", ds)
+    ds = load_idx_dataset(spec["train_images"], spec["train_labels"],
+                          spec["test_images"], spec["test_labels"])
+    declared = (int(spec["input_dim"]), int(spec["num_classes"]))
+    if declared != (ds.input_dim, ds.num_classes):
+        raise ConfigError(f"{context}.idx: declared (input_dim, num_classes) "
+                          f"{declared} != {(ds.input_dim, ds.num_classes)} "
+                          "read from the files")
     return ds

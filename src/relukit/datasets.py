@@ -88,31 +88,31 @@ def _read_idx_labels(path: str) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8, offset=8).astype(np.int64)
 
 
-def load_idx_dataset(images_path: str, labels_path: str, split: str,
-                     into: Dataset) -> Dataset:
-    """Load an IDX image/label file pair into one split of `into`.
-
-    The split is replaced wholesale; pixels are scaled to [0, 1].
-    """
-    if split not in ("train", "test"):
-        raise ValueError(f"split must be 'train' or 'test', got {split!r}")
+def _read_idx_pair(images_path: str, labels_path: str):
     images = _read_idx_images(images_path)
     labels = _read_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(f"count mismatch: {images.shape[0]} images vs "
                              f"{labels.shape[0]} labels")
-    if images.shape[1] != into.input_dim:
-        raise ValueError(f"image dimension {images.shape[1]} != "
-                         f"dataset input_dim {into.input_dim}")
-    if labels.size and labels.max() >= into.num_classes:
-        raise ValueError(f"label {labels.max()} out of range "
-                         f"[0, {into.num_classes})")
-    samples = [Sample(images[i], int(labels[i])) for i in range(images.shape[0])]
-    if split == "train":
-        into.train = samples
-    else:
-        into.test = samples
-    return into
+    return images, labels
+
+
+def load_idx_dataset(train_images: str, train_labels: str, test_images: str,
+                     test_labels: str) -> Dataset:
+    """Dataset from two IDX image/label file pairs; pixels are scaled to
+    [0, 1]. input_dim comes from the image header and num_classes is one more
+    than the largest label of either split."""
+    train = _read_idx_pair(train_images, train_labels)
+    test = _read_idx_pair(test_images, test_labels)
+    if train[0].shape[1] != test[0].shape[1]:
+        raise IdxFormatError(f"image size mismatch: {train[0].shape[1]} "
+                             f"train vs {test[0].shape[1]} test pixels")
+    labels = np.concatenate([train[1], test[1]])
+    ds = Dataset(input_dim=train[0].shape[1],
+                 num_classes=int(labels.max(initial=-1)) + 1)
+    ds.train = [Sample(x, y) for x, y in zip(*train)]
+    ds.test = [Sample(x, y) for x, y in zip(*test)]
+    return ds
 
 
 def synth_blobs(seed: int, n_per_class: int, num_classes: int, dim: int,

@@ -15,7 +15,7 @@ from .config import (ConfigError, bab_config_from, dataset_from,
                      training_config_from, validate_keys)
 from .network import network_stats
 from .properties import Box, robustness_property
-from .pruning import network_slim, weight_prune
+from .pruning import PruningConfig, network_slim, weight_prune
 from .training import evaluate, init_network, train
 from .verifier import Status, root_unstable_count, verify_bab
 
@@ -49,6 +49,13 @@ def _queries_from(obj, dataset):
     epsilon = float(obj.get("epsilon", 0.02))
     return robustness_queries(dataset, dataset.test, range(count), epsilon,
                               "queries.count")
+
+
+def _pruning_from(method, spec, context):
+    try:
+        return PruningConfig(method, **spec)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def _verify_variant(name, net, queries, bab_cfg):
@@ -97,18 +104,19 @@ def run_experiment(config: dict) -> dict:
                 if "fine_tune" in config else None)
     wp_spec = config.get("wp", {"ratio": 0.5})
     validate_keys(wp_spec, ("ratio", "threshold"), "wp")
+    wp_cfg = _pruning_from("weight_pruning", wp_spec, "wp")
     ns_spec = config.get("ns", {"ratio": 0.5})
     validate_keys(ns_spec, ("ratio",), "ns")
+    ns_cfg = _pruning_from("network_slimming", {"ratio": 0.5, **ns_spec}, "ns")
     bab_cfg = bab_config_from(config.get("verify", {}), "verify")
 
     fresh = init_network(widths, seed=seed, with_bn=True, name="experiment")
     baseline, _ = train(fresh, dataset, base_cfg)
     sparse, _ = train(fresh, dataset, sparse_cfg)
 
-    wp_net = weight_prune(baseline, threshold=wp_spec.get("threshold"),
-                          ratio=wp_spec.get("ratio")
-                          if "threshold" not in wp_spec else None)
-    ns_net = network_slim(sparse, float(ns_spec.get("ratio", 0.5)))
+    wp_net = weight_prune(baseline, threshold=wp_cfg.threshold,
+                          ratio=wp_cfg.ratio)
+    ns_net = network_slim(sparse, ns_cfg.ratio)
     if fine_cfg is not None:
         wp_net, _ = train(wp_net, dataset, fine_cfg)
         ns_net, _ = train(ns_net, dataset, fine_cfg)

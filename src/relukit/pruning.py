@@ -39,15 +39,21 @@ class PruningConfig:
                 raise ValueError("network slimming needs a ratio")
             if self.threshold is not None:
                 raise ValueError("network slimming takes no threshold")
-        if self.threshold is not None and self.threshold < 0:
-            raise ValueError("threshold must be nonnegative")
-        if self.ratio is not None and not (0 <= self.ratio < 1):
-            raise ValueError("ratio must lie in [0, 1)")
+        _check_amount(self.threshold, self.ratio)
+
+
+def _check_amount(threshold: Optional[float] = None,
+                  ratio: Optional[float] = None) -> None:
+    if threshold is not None and not threshold >= 0:
+        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    if ratio is not None and not 0 <= ratio < 1:
+        raise ValueError(f"ratio must lie in [0, 1), got {ratio}")
 
 
 def _ratio_cutoff(magnitudes: np.ndarray, ratio: float) -> float:
     """Cutoff so that entries strictly below it are the smallest `ratio`
     fraction; ties at the cutoff are kept."""
+    _check_amount(ratio=ratio)
     if magnitudes.size == 0:
         return 0.0
     k = int(np.floor(ratio * magnitudes.size))
@@ -65,6 +71,7 @@ def weight_prune(net: SequentialNetwork, threshold: Optional[float] = None,
     """
     if (threshold is None) == (ratio is None):
         raise ValueError("pass exactly one of threshold or ratio")
+    _check_amount(threshold=threshold)
     errors = validate(net)
     if errors:
         raise ValueError("invalid network: " + "; ".join(errors))
@@ -113,16 +120,10 @@ def network_slim(net: SequentialNetwork, ratio: float) -> SequentialNetwork:
         raise ValueError("invalid network: " + "; ".join(errors))
     masks = select_slim_targets(net, ratio)
     out = net.copy()
-    fc_indices = [i for i, n in enumerate(out.nodes)
-                  if isinstance(n, FullyConnectedNode)]
     for bn_idx, keep in masks.items():
-        if not isinstance(out.nodes[bn_idx - 1], FullyConnectedNode) or \
-                not isinstance(out.nodes[bn_idx + 1], ReLUNode):
-            raise ValueError(f"BN node {bn_idx} is not inside an FC-BN-ReLU block")
-        fc = out.nodes[bn_idx - 1]
-        bn = out.nodes[bn_idx]
-        next_fc_idx = min(i for i in fc_indices if i > bn_idx)
-        next_fc = out.nodes[next_fc_idx]
+        # validate() fixes the canonical order FC, BN, ReLU, FC around bn_idx
+        fc, bn, next_fc = (out.nodes[bn_idx - 1], out.nodes[bn_idx],
+                           out.nodes[bn_idx + 2])
         dropped = np.flatnonzero(~keep)
         if dropped.size:
             constant_out = np.maximum(0.0, bn.beta[dropped])

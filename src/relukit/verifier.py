@@ -67,10 +67,15 @@ class BabConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_nodes < 1 or self.enum_threshold < 0 \
-                or self.min_box_width <= 0 or self.time_budget <= 0 \
-                or self.sample_count < 0:
-            raise ValueError("BabConfig fields must be positive")
+        for name, ok, rule in (
+                ("max_nodes", self.max_nodes >= 1, ">= 1"),
+                ("enum_threshold", self.enum_threshold >= 0, ">= 0"),
+                ("min_box_width", self.min_box_width > 0, "> 0"),
+                ("time_budget", self.time_budget > 0, "> 0"),
+                ("sample_count", self.sample_count >= 0, ">= 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, "
+                                 f"got {getattr(self, name)!r}")
 
 
 def _is_folded(net: SequentialNetwork) -> bool:
@@ -113,19 +118,22 @@ def _atom_lower_bound(atom: LinearAtom, lo: np.ndarray, hi: np.ndarray) -> float
 def _bound(net: SequentialNetwork, box: Box, violation=()):
     """The bounding step over a folded network, shared by every engine.
 
-    Returns (pre_bounds, unstable, alive): the interval bounds of each hidden
-    pre-activation, the number of hidden ReLUs whose bounds straddle 0, and
-    the indices of the violation disjuncts the output bounds do not refute.
+    Returns (pre_lo, pre_hi, unstable, alive): the interval bounds of every
+    hidden pre-activation as two flat vectors (empty without a hidden layer),
+    the number of hidden ReLUs whose bounds straddle 0, and the indices of the
+    violation disjuncts the output bounds do not refute.
     """
     bounds = interval_forward(net, box)
-    pre_bounds = [b for b, n in zip(bounds, net.nodes)
-                  if isinstance(n, FullyConnectedNode)][:-1]
-    unstable = sum(int(np.sum((lo < 0.0) & (hi > 0.0))) for lo, hi in pre_bounds)
+    pre = [b for b, nxt in zip(bounds, net.nodes[1:])
+           if isinstance(nxt, ReLUNode)]
+    pre_lo = np.concatenate([np.zeros(0)] + [lo for lo, _ in pre])
+    pre_hi = np.concatenate([np.zeros(0)] + [hi for _, hi in pre])
+    unstable = int(np.sum((pre_lo < 0.0) & (pre_hi > 0.0)))
     out_lo, out_hi = bounds[-1]
     alive = [j for j, disjunct in enumerate(violation)
              if not any(_atom_lower_bound(a, out_lo, out_hi) > a.rhs
                         for a in disjunct)]
-    return pre_bounds, unstable, alive
+    return pre_lo, pre_hi, unstable, alive
 
 
 def _validated_cex(net, prop, x) -> Optional[Counterexample]:
@@ -137,42 +145,29 @@ def _validated_cex(net, prop, x) -> Optional[Counterexample]:
 
 
 def _sample_points(box: Box, count: int, rng) -> np.ndarray:
-    center = box.center()[None, :]
-    if count == 0:
-        return center
-    pts = rng.uniform(box.lo, box.hi, size=(count, box.dim))
-    return np.vstack([center, pts])
+    return np.vstack([box.center()[None, :],
+                      rng.uniform(box.lo, box.hi, size=(count, box.dim))])
 
 
-def _find_witness(net, prop, points) -> Optional[Counterexample]:
-    ys = forward_batch(net, points)
+def _falsify(net, folded, prop, points) -> Optional[Counterexample]:
+    """The first point, in point-major order, whose output on `folded`
+    satisfies a violation disjunct, re-validated on `net`; None when no point
+    does or the first one fails re-validation."""
+    ys = forward_batch(folded, points)
     for i in range(points.shape[0]):
-        for j in range(len(prop.violation)):
-            if satisfies_disjunct(ys[i], prop.violation[j], tol=0.0):
-                return Counterexample(points[i], ys[i], j)
+        for disjunct in prop.violation:
+            if satisfies_disjunct(ys[i], disjunct, tol=0.0):
+                return _validated_cex(net, prop, points[i])
     return None
 
 
 def verify_ibp(net: SequentialNetwork, prop: Property,
                sample_count: int = 32, seed: int = 0) -> VerificationResult:
-    """One-shot interval verification with a quick sampling falsification."""
-    start = time.monotonic()
-    folded = _folded(net)
-    _, _, alive = _bound(folded, prop.input_box, prop.violation)
-    stats = {"nodes": 1, "lp_calls": 0}
-    if not alive:
-        stats["wall_time"] = time.monotonic() - start
-        return VerificationResult(Status.VERIFIED, stats=stats)
-    rng = np.random.default_rng(seed)
-    witness = _find_witness(folded, prop,
-                            _sample_points(prop.input_box, sample_count, rng))
-    stats["wall_time"] = time.monotonic() - start
-    if witness is not None:
-        cex = _validated_cex(net, prop, witness.input)
-        if cex is not None:
-            return VerificationResult(Status.FALSIFIED, cex, stats)
-    stats["reason"] = "IBP inconclusive"
-    return VerificationResult(Status.UNKNOWN, stats=stats)
+    """The root node of verify_bab: interval refutation, a quick sampling
+    falsification, and one exact LP when no ReLU is unstable."""
+    return verify_bab(net, prop, BabConfig(max_nodes=1, enum_threshold=0,
+                                           sample_count=sample_count,
+                                           seed=seed))
 
 
 def lp_feasible(a_ub: np.ndarray, b_ub: np.ndarray, box: Box):
@@ -248,13 +243,11 @@ def check_pattern(net: SequentialNetwork, box: Box, pattern: np.ndarray,
     return x
 
 
-def _enum_decide(net, box, prop, alive, pre_bounds, counters):
+def _enum_decide(net, box, prop, alive, los, his, counters):
     """Exact decision for a node whose free neurons are enumerable.
 
     Returns a Counterexample, or None when the node is proven safe.
     """
-    los = np.concatenate([b[0] for b in pre_bounds])
-    his = np.concatenate([b[1] for b in pre_bounds])
     base = np.where(los >= 0.0, 1, 0)
     free = np.flatnonzero((los < 0.0) & (his > 0.0))
     for bits in range(1 << free.size):
@@ -307,20 +300,18 @@ def verify_bab(net: SequentialNetwork, prop: Property,
         box = worklist.pop()
         nodes += 1
 
-        pre_bounds, free, alive = _bound(folded, box, prop.violation)
+        los, his, free, alive = _bound(folded, box, prop.violation)
         if not alive:
             continue
 
-        witness = _find_witness(folded, prop,
-                                _sample_points(box, config.sample_count, rng))
-        if witness is not None:
-            cex = _validated_cex(net, prop, witness.input)
-            if cex is not None:
-                return result(Status.FALSIFIED, cex)
+        cex = _falsify(net, folded, prop,
+                       _sample_points(box, config.sample_count, rng))
+        if cex is not None:
+            return result(Status.FALSIFIED, cex)
 
         if free <= config.enum_threshold:
             try:
-                cex = _enum_decide(folded, box, prop, alive, pre_bounds,
+                cex = _enum_decide(folded, box, prop, alive, los, his,
                                    counters)
             except (SpuriousWitnessError, LPUndecidedError):
                 pass  # no exact decision here: split the box instead
@@ -350,7 +341,6 @@ def falsify_sample(net: SequentialNetwork, prop: Property, n_samples: int,
                    seed: int = 0) -> Optional[Counterexample]:
     """Seeded random falsification: box corners (when dim <= 12) plus
     uniform samples; returns the first validated witness."""
-    folded = _folded(net)
     box = prop.input_box
     points = []
     if box.dim <= 12:
@@ -361,12 +351,9 @@ def falsify_sample(net: SequentialNetwork, prop: Property, n_samples: int,
     if n_samples > 0:
         rng = np.random.default_rng(seed)
         points.append(rng.uniform(box.lo, box.hi, size=(n_samples, box.dim)))
-    witness = _find_witness(folded, prop, np.vstack(points))
-    if witness is None:
-        return None
-    return _validated_cex(net, prop, witness.input)
+    return _falsify(net, _folded(net), prop, np.vstack(points))
 
 
 def root_unstable_count(net: SequentialNetwork, box: Box) -> int:
     """Number of hidden ReLUs whose root IBP pre-activation straddles 0."""
-    return _bound(_folded(net), box)[1]
+    return _bound(_folded(net), box)[2]

@@ -169,6 +169,21 @@ class TestVerify:
         assert main(["verify", "--model", trained_model,
                      "--robustness"]) == 3
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--max-nodes", "0", "max_nodes"), ("--timeout", "-1", "time_budget")])
+    def test_bad_budget_flag_exits_three(self, trained_model, train_cfg,
+                                         flag, value, field, capsys):
+        assert main(["verify", "--model", trained_model, "--robustness",
+                     "--config", train_cfg, "--sample-index", "0",
+                     "--epsilon", "0.3", flag, value]) == 3
+        assert field in capsys.readouterr().err
+
+    def test_ibp_engine(self, trained_model, train_cfg, capsys):
+        assert main(["verify", "--model", trained_model, "--robustness",
+                     "--config", train_cfg, "--sample-index", "0",
+                     "--epsilon", "1e-4", "--engine", "ibp"]) == 0
+        assert capsys.readouterr().out.strip() == "Verified"
+
 
 class TestRepairCommand:
     def test_repair_roundtrip(self, tmp_path, trained_model, train_cfg):
@@ -208,6 +223,22 @@ class TestRepairCommand:
         assert main(["repair", "--model", trained_model, "--config", cfg,
                      "--out", str(tmp_path / "repaired.json")]) == 3
         assert message in capsys.readouterr().err
+
+
+class TestExperimentCommand:
+    @pytest.mark.parametrize("section,ratio", [("wp", 1.0), ("wp", -0.5),
+                                               ("ns", 1.0)])
+    def test_bad_pruning_ratio_exits_three(self, tmp_path, section, ratio,
+                                           capsys):
+        cfg = write_json(tmp_path / "experiment.json", {
+            "dataset": SYNTH, "hidden": [4],
+            "baseline_train": {"epochs": 1}, "sparse_train": {"epochs": 1},
+            section: {"ratio": ratio}})
+        out = tmp_path / "results.json"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 3
+        assert f"{section}: ratio must lie in [0, 1)" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvalInfo:

@@ -60,6 +60,14 @@ class TestWeightPrune:
             nz = nz[nz > 0]
             assert nz.size == 0 or nz.min() >= t
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"ratio": 1.0}, "ratio"), ({"ratio": -0.5}, "ratio"),
+        ({"threshold": -0.1}, "threshold")])
+    def test_out_of_range_amount_rejected(self, kwargs, message):
+        net = random_net([3, 5, 2], seed=1)
+        with pytest.raises(ValueError, match=message):
+            weight_prune(net, **kwargs)
+
     def test_sparsity_monotone_in_threshold(self):
         net = random_net([4, 8, 3], seed=4)
         last = -1.0
@@ -144,6 +152,12 @@ class TestNetworkSlim:
                    if isinstance(n, BatchNorm1DNode))
         assert kept == int((pool >= cutoff).sum())
 
+    @pytest.mark.parametrize("ratio", [1.0, -0.5])
+    def test_out_of_range_ratio_rejected(self, ratio):
+        net = random_net([4, 8, 8, 3], seed=5)
+        with pytest.raises(ValueError, match=r"ratio must lie in \[0, 1\)"):
+            network_slim(net, ratio)
+
 
 class TestPrunePipeline:
     def test_noop_pipeline(self):
@@ -190,3 +204,7 @@ class TestPrunePipeline:
             PruningConfig(method="network_slimming")
         with pytest.raises(ValueError):
             PruningConfig(method="magnitude")
+        with pytest.raises(ValueError, match="ratio"):
+            PruningConfig(method="network_slimming", ratio=1.0)
+        with pytest.raises(ValueError, match="threshold"):
+            PruningConfig(method="weight_pruning", threshold=-1.0)

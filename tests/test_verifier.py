@@ -33,6 +33,11 @@ def abs_net():
     ])
 
 
+def linear_net():
+    # no hidden layer: one bare FC node
+    return SequentialNetwork("lin", 1, [FullyConnectedNode([[1.0]], [0.0])])
+
+
 def fc_layers(net):
     return [(n.weights, n.bias) for n in net.nodes
             if isinstance(n, FullyConnectedNode)]
@@ -108,6 +113,40 @@ class TestVerifyIbp:
         assert res.status == Status.UNKNOWN
         assert not exact_pattern_verdict(
             fc_layers(abs_net()), [-1.0], [1.0], [[([-1.0], -1.5)]])
+
+    def test_exact_lp_when_no_relu_is_unstable(self):
+        # output is (x + 1) - (x + 1) = 0, but IBP sees [-1, 1]; both ReLUs
+        # are stably active, so one LP decides the root
+        net = SequentialNetwork("zero", 1, [
+            FullyConnectedNode([[1.0], [1.0]], [1.0, 1.0]),
+            ReLUNode(2),
+            FullyConnectedNode([[1.0, -1.0]], [0.0])])
+        prop = Property(Box([0.0], [1.0]), violation([-1.0], -0.5), 1)
+        res = verify_ibp(net, prop)
+        assert res.status == Status.VERIFIED
+        assert res.stats["nodes"] == 1 and res.stats["lp_calls"] == 1
+
+
+class TestNoHiddenLayer:
+    # the only witness of Y_0 >= 1 over [0, 1] is the corner x = 1
+    PROP = Property(Box([0.0], [1.0]), violation([-1.0], -1.0), 1)
+
+    def test_verify_bab_without_sampling(self):
+        res = verify_bab(linear_net(), self.PROP, BabConfig(sample_count=0))
+        assert res.status == Status.FALSIFIED
+        assert res.counterexample.input[0] == pytest.approx(1.0)
+
+    def test_verify_ibp(self):
+        res = verify_ibp(linear_net(), self.PROP)
+        assert res.status == Status.FALSIFIED
+        assert res.counterexample.input[0] == pytest.approx(1.0)
+
+    def test_falsify_sample_finds_the_corner(self):
+        cex = falsify_sample(linear_net(), self.PROP, 0, seed=0)
+        assert cex is not None and cex.input[0] == 1.0
+
+    def test_root_unstable_count_is_zero(self):
+        assert root_unstable_count(linear_net(), self.PROP.input_box) == 0
 
 
 class TestLpFeasible:
