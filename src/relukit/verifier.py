@@ -17,7 +17,7 @@ from scipy.optimize import linprog
 
 from .network import (FullyConnectedNode, ReLUNode, SequentialNetwork,
                       fold_batchnorm, forward, forward_batch)
-from .properties import (Box, LinearAtom, Property, satisfies_disjunct,
+from .properties import (Box, Property, satisfies_disjunct,
                          violated_disjunct)
 
 __all__ = ["Status", "Counterexample", "VerificationResult", "BabConfig",
@@ -109,10 +109,9 @@ def interval_forward(net: SequentialNetwork, box: Box):
     return bounds
 
 
-def _atom_lower_bound(atom: LinearAtom, lo: np.ndarray, hi: np.ndarray) -> float:
-    pos = np.maximum(atom.coeffs, 0.0)
-    neg = np.minimum(atom.coeffs, 0.0)
-    return float(pos @ lo + neg @ hi)
+def _box_min(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Closed-form minimum of coeffs @ x over the box [lo, hi], per row."""
+    return np.maximum(coeffs, 0.0) @ lo + np.minimum(coeffs, 0.0) @ hi
 
 
 def _bound(net: SequentialNetwork, box: Box, violation=()):
@@ -131,7 +130,7 @@ def _bound(net: SequentialNetwork, box: Box, violation=()):
     unstable = int(np.sum((pre_lo < 0.0) & (pre_hi > 0.0)))
     out_lo, out_hi = bounds[-1]
     alive = [j for j, disjunct in enumerate(violation)
-             if not any(_atom_lower_bound(a, out_lo, out_hi) > a.rhs
+             if not any(_box_min(a.coeffs, out_lo, out_hi) > a.rhs
                         for a in disjunct)]
     return pre_lo, pre_hi, unstable, alive
 
@@ -164,7 +163,9 @@ def _falsify(net, folded, prop, points) -> Optional[Counterexample]:
 def verify_ibp(net: SequentialNetwork, prop: Property,
                sample_count: int = 32, seed: int = 0) -> VerificationResult:
     """The root node of verify_bab: interval refutation, a quick sampling
-    falsification, and one exact LP when no ReLU is unstable."""
+    falsification, and, when no ReLU is unstable, the exact decision of the
+    one activation pattern (an interval test per disjunct, then one LP for
+    each disjunct that test leaves open)."""
     return verify_bab(net, prop, BabConfig(max_nodes=1, enum_threshold=0,
                                            sample_count=sample_count,
                                            seed=seed))
@@ -243,22 +244,79 @@ def check_pattern(net: SequentialNetwork, box: Box, pattern: np.ndarray,
     return x
 
 
-def _enum_decide(net, box, prop, alive, los, his, counters):
+class _BudgetExhausted(Exception):
+    """The time budget ran out inside an exact leaf decision."""
+
+
+def _enum_decide(net, box, prop, alive, los, his, counters, deadline):
     """Exact decision for a node whose free neurons are enumerable.
 
-    Returns a Counterexample, or None when the node is proven safe.
+    Depth-first search over the free (unstable) neurons in layer order, one
+    neuron fixed per tree level, inactive before active, so total patterns
+    are reached in lexicographic order. A prefix is cut with every
+    completion when its new sign row's closed-form minimum over the box
+    exceeds its rhs, or when an LP over the prefix's free-neuron rows is
+    infeasible (stable neurons' rows hold on the whole box). No such LP runs
+    when a feasible point of the parent prefix meets the child's rows, for a
+    total pattern (check_pattern's LP covers its region), or before pruning
+    has saved an LP that trying every pattern and alive disjunct would run,
+    so the search never runs more LPs than that. A total pattern skips each
+    disjunct with an atom that its output map refutes on the box and
+    decides the rest with check_pattern.
+
+    Returns a Counterexample, or None when the node is proven safe. Counts
+    LPs, total patterns reached and pruned subtrees in `counters`; raises
+    _BudgetExhausted at a tree node reached after `deadline`.
     """
-    base = np.where(los >= 0.0, 1, 0)
     free = np.flatnonzero((los < 0.0) & (his > 0.0))
-    for bits in range(1 << free.size):
-        pattern = base.copy()
-        for b in range(free.size):
-            pattern[free[b]] = (bits >> b) & 1
+    lo, hi = box.lo, box.hi
+    saved = 0  # LPs that trying every pattern would run, less those we ran
+    # (depth, pattern, prefix rows and rhs, a point that may satisfy them);
+    # the last row is the child's own and is still unchecked
+    stack = [(0, np.where(los >= 0.0, 1, 0), np.zeros((0, box.dim)),
+              np.zeros(0), box.center())]
+    while stack:
+        if time.monotonic() > deadline:
+            raise _BudgetExhausted
+        depth, pattern, rows, rhs, x = stack.pop()
+        if depth > 0:
+            subtree = len(alive) << (free.size - depth)
+            if _box_min(rows[-1], lo, hi) > rhs[-1]:
+                counters["enum_pruned"] += 1
+                saved += subtree
+                continue
+            if depth < free.size and (x is None or np.any(rows @ x > rhs)):
+                x = None
+                if saved >= 1:
+                    counters["lp_calls"] += 1
+                    saved -= 1
+                    x = lp_feasible(rows, rhs, box)
+                    if x is None:
+                        counters["enum_pruned"] += 1
+                        saved += subtree
+                        continue
+        if depth < free.size:
+            n = free[depth]  # pattern[n] is still 0: its row is "inactive"
+            sign_rows, sign_rhs = _affine_maps(net, pattern)[:2]
+            for bit, sign in ((1, -1.0), (0, 1.0)):  # inactive pops first
+                child = pattern.copy()
+                child[n] = bit
+                stack.append((depth + 1, child,
+                              np.vstack([rows, sign * sign_rows[n]]),
+                              np.append(rhs, sign * sign_rhs[n]), x))
+            continue
+        counters["enum_leaves"] += 1
+        a_out, c_out = _affine_maps(net, pattern)[2:]
         for j in alive:
+            disjunct = prop.violation[j]
+            if any(_box_min(a.coeffs @ a_out, lo, hi)
+                   > a.rhs - a.coeffs @ c_out for a in disjunct):
+                saved += 1
+                continue
             counters["lp_calls"] += 1
-            x = check_pattern(net, box, pattern, prop.violation[j])
-            if x is not None:
-                cex = _validated_cex(net, prop, x)
+            w = check_pattern(net, box, pattern, disjunct)
+            if w is not None:
+                cex = _validated_cex(net, prop, w)
                 if cex is None:
                     raise SpuriousWitnessError(
                         "pattern witness failed property re-validation")
@@ -270,23 +328,28 @@ def verify_bab(net: SequentialNetwork, prop: Property,
                config: BabConfig = None) -> VerificationResult:
     """Branch-and-bound decision over the input box.
 
-    Per node: IBP refutation, concrete sampling, exact enumeration when few
-    ReLUs are unstable, else split the widest input dimension at its
-    midpoint. Verified only when every node is refuted or exactly decided
-    safe; Falsified only with a concretely re-validated counterexample.
+    Per node: IBP refutation, concrete sampling, the exact depth-first
+    pattern search of _enum_decide when few ReLUs are unstable, else split
+    the widest input dimension at its midpoint. Verified only when every
+    node is refuted or exactly decided safe; Falsified only with a
+    concretely re-validated counterexample. The time budget is checked
+    before each node and at each node of the pattern search; running out
+    gives Unknown with reason "time budget exhausted". stats counts nodes,
+    LPs, total patterns reached (enum_leaves) and pattern subtrees pruned
+    (enum_pruned).
     """
     if config is None:
         config = BabConfig()
     start = time.monotonic()
     folded = _folded(net)
     rng = np.random.default_rng(config.seed)
-    counters = {"lp_calls": 0}
+    counters = {"lp_calls": 0, "enum_leaves": 0, "enum_pruned": 0}
     worklist = [prop.input_box]
     nodes = 0
     undecided = 0
 
     def result(status, cex=None, reason=None):
-        stats = {"nodes": nodes, "lp_calls": counters["lp_calls"],
+        stats = {"nodes": nodes, **counters,
                  "wall_time": time.monotonic() - start}
         if reason:
             stats["reason"] = reason
@@ -312,9 +375,11 @@ def verify_bab(net: SequentialNetwork, prop: Property,
         if free <= config.enum_threshold:
             try:
                 cex = _enum_decide(folded, box, prop, alive, los, his,
-                                   counters)
+                                   counters, start + config.time_budget)
             except (SpuriousWitnessError, LPUndecidedError):
                 pass  # no exact decision here: split the box instead
+            except _BudgetExhausted:
+                return result(Status.UNKNOWN, reason="time budget exhausted")
             else:
                 if cex is not None:
                     return result(Status.FALSIFIED, cex)
@@ -351,6 +416,8 @@ def falsify_sample(net: SequentialNetwork, prop: Property, n_samples: int,
     if n_samples > 0:
         rng = np.random.default_rng(seed)
         points.append(rng.uniform(box.lo, box.hi, size=(n_samples, box.dim)))
+    if not points:
+        return None
     return _falsify(net, _folded(net), prop, np.vstack(points))
 
 

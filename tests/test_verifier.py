@@ -1,18 +1,21 @@
+import time
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from conftest import random_net
 from oracles import exact_pattern_verdict, fm_feasible
+from relukit import verifier
 from relukit.network import (FullyConnectedNode, ReLUNode, SequentialNetwork,
                              forward)
 from relukit.properties import (Box, LinearAtom, Property,
-                                robustness_property)
-from relukit.verifier import (BabConfig, SpuriousWitnessError, Status,
-                              check_pattern, falsify_sample, interval_forward,
-                              lp_feasible, root_unstable_count, verify_bab,
-                              verify_ibp)
+                                robustness_property, satisfies_disjunct)
+from relukit.verifier import (CEX_TOL, BabConfig, SpuriousWitnessError,
+                              Status, check_pattern, falsify_sample,
+                              interval_forward, lp_feasible,
+                              root_unstable_count, verify_bab, verify_ibp)
 
 
 def identity_net(d=1):
@@ -43,14 +46,17 @@ def fc_layers(net):
             if isinstance(n, FullyConnectedNode)]
 
 
-def tiny_instance(seed):
-    """Random folded net (2 inputs, 8 hidden ReLUs) plus a robustness query."""
+def tiny_instance(seed, widths=(2, 4, 4, 2)):
+    """Random folded net (by default 2 inputs, 8 hidden ReLUs) plus a
+    robustness query on a random sub-box of the unit cube."""
     rng = np.random.default_rng(seed)
-    net = random_net([2, 4, 4, 2], seed=seed, with_bn=False, scale=1.5)
-    x0 = rng.uniform(0.2, 0.8, size=2)
+    net = random_net(widths, seed=seed, with_bn=False, scale=1.5)
+    d = widths[0]
+    x0 = rng.uniform(0.2, 0.8, size=d)
     label = int(np.argmax(forward(net, x0)))
     eps = float(rng.uniform(0.05, 0.4))
-    prop = robustness_property(x0, label, eps, Box(np.zeros(2), np.ones(2)), 2)
+    prop = robustness_property(x0, label, eps, Box(np.zeros(d), np.ones(d)),
+                               widths[-1])
     return net, prop
 
 
@@ -116,12 +122,23 @@ class TestVerifyIbp:
 
     def test_exact_lp_when_no_relu_is_unstable(self):
         # output is (x + 1) - (x + 1) = 0, but IBP sees [-1, 1]; both ReLUs
-        # are stably active, so one LP decides the root
+        # are stably active, so the net is affine on the box and the
+        # pattern's output map refutes the atom without an LP
         net = SequentialNetwork("zero", 1, [
             FullyConnectedNode([[1.0], [1.0]], [1.0, 1.0]),
             ReLUNode(2),
             FullyConnectedNode([[1.0, -1.0]], [0.0])])
         prop = Property(Box([0.0], [1.0]), violation([-1.0], -0.5), 1)
+        res = verify_ibp(net, prop)
+        assert res.status == Status.VERIFIED
+        assert res.stats["nodes"] == 1 and res.stats["lp_calls"] == 0
+        # Y_0 = x on [0, 1] through a stably active ReLU: Y_0 <= 0.2 and
+        # Y_0 >= 0.8 each hold somewhere, so only one joint LP refutes them
+        net = SequentialNetwork("id", 1, [
+            FullyConnectedNode([[1.0]], [0.0]), ReLUNode(1),
+            FullyConnectedNode([[1.0]], [0.0])])
+        prop = Property(Box([0.0], [1.0]), [[LinearAtom([1.0], 0.2),
+                                             LinearAtom([-1.0], -0.8)]], 1)
         res = verify_ibp(net, prop)
         assert res.status == Status.VERIFIED
         assert res.stats["nodes"] == 1 and res.stats["lp_calls"] == 1
@@ -269,6 +286,88 @@ class TestVerifyBab:
         assert res.status == Status.UNKNOWN
         assert "budget" in res.stats["reason"]
 
+    def test_budget_is_checked_inside_enumeration(self, monkeypatch):
+        # Y_0 = sum_i relu(x - t_i): all 6 ReLUs are free on [-1, 1], and
+        # the two atoms are refuted only jointly, so the exact decision runs
+        # many LPs, each slowed here to 0.1 s
+        t = np.linspace(-0.8, 0.8, 6)
+        net = SequentialNetwork("ramp", 1, [
+            FullyConnectedNode(np.ones((6, 1)), -t), ReLUNode(6),
+            FullyConnectedNode(np.ones((1, 6)), [0.0])])
+        prop = Property(Box([-1.0], [1.0]), [[LinearAtom([1.0], 0.5),
+                                              LinearAtom([-1.0], -1.0)]], 1)
+        real = verifier.lp_feasible
+
+        def slow(a_ub, b_ub, box):
+            time.sleep(0.1)
+            return real(a_ub, b_ub, box)
+
+        monkeypatch.setattr(verifier, "lp_feasible", slow)
+        start = time.monotonic()
+        res = verify_bab(net, prop, BabConfig(time_budget=0.3,
+                                              sample_count=0))
+        assert time.monotonic() - start < 0.3 + 1.0
+        assert res.status == Status.UNKNOWN
+        assert res.stats["reason"] == "time budget exhausted"
+
+
+def brute_force_enum(net, box, prop, alive, los, his):
+    """Reference exact decision: every total pattern, in the lexicographic
+    order of the free neurons (the depth-first search's leaf order), against
+    every alive disjunct through check_pattern. Returns (witness or None,
+    LP count, number of patterns whose activation region is nonempty)."""
+    base = np.where(los >= 0.0, 1, 0)
+    free = np.flatnonzero((los < 0.0) & (his > 0.0))
+    lp_calls = nonempty = 0
+    for bits in product((0, 1), repeat=free.size):
+        pattern = base.copy()
+        pattern[free] = bits
+        rows, rhs = verifier._affine_maps(net, pattern)[:2]
+        nonempty += lp_feasible(rows, rhs, box) is not None
+        for j in alive:
+            lp_calls += 1
+            x = check_pattern(net, box, pattern, prop.violation[j])
+            if x is not None:
+                return x, lp_calls, nonempty
+    return None, lp_calls, nonempty
+
+
+class TestEnumDecide:
+    def test_matches_brute_force(self):
+        safe = falsified = pruned = 0
+        for widths in ([2, 3, 3, 3], [3, 4, 2, 3], [2, 5, 3],
+                       [3, 3, 3, 3, 3]):
+            for seed in range(24):
+                net, prop = tiny_instance(seed, widths)
+                box = prop.input_box
+                los, his, free, alive = verifier._bound(net, box,
+                                                        prop.violation)
+                if not alive:
+                    continue
+                counters = {"lp_calls": 0, "enum_leaves": 0,
+                            "enum_pruned": 0}
+                cex = verifier._enum_decide(net, box, prop, alive, los, his,
+                                            counters, float("inf"))
+                ref, ref_calls, nonempty = brute_force_enum(
+                    net, box, prop, alive, los, his)
+                assert (cex is None) == (ref is None), (widths, seed)
+                assert counters["lp_calls"] <= ref_calls, (widths, seed)
+                assert counters["enum_leaves"] <= 2 ** free
+                if cex is None:
+                    safe += 1
+                    # pruning only drops empty regions
+                    assert counters["enum_leaves"] >= nonempty
+                    assert (counters["enum_pruned"] > 0) == \
+                        (counters["enum_leaves"] < 2 ** free)
+                else:
+                    falsified += 1
+                    assert box.contains(cex.input)
+                    assert satisfies_disjunct(forward(net, cex.input),
+                                              prop.violation[cex.disjunct],
+                                              tol=CEX_TOL)
+                pruned += counters["enum_pruned"]
+        assert safe >= 5 and falsified >= 5 and pruned > 0
+
 
 class TestFalsifySample:
     def test_empty_violation_region(self):
@@ -287,6 +386,12 @@ class TestFalsifySample:
         assert (a is None) == (b is None)
         if a is not None:
             assert np.array_equal(a.input, b.input)
+
+    def test_no_points_above_twelve_dims(self):
+        # no corner grid above 12 inputs and no samples: nothing to try
+        prop = Property(Box(np.zeros(13), np.ones(13)),
+                        violation(np.eye(13)[0] * -1.0, -2.0), 13)
+        assert falsify_sample(identity_net(13), prop, 0) is None
 
     def test_sampled_witness_implies_bab_falsified(self):
         for seed in range(20):
