@@ -126,7 +126,7 @@ def validate(net: SequentialNetwork) -> list[str]:
             errors.append(f"dim mismatch at node {i}: expected input {cur}, got {d_in}")
         cur = d_out
         if isinstance(node, FullyConnectedNode):
-            if not np.all(np.isfinite(node.weights)) or not np.all(np.isfinite(node.bias)):
+            if not np.isfinite(node.weights).all() or not np.isfinite(node.bias).all():
                 errors.append(f"non-finite parameters at node {i}")
         elif isinstance(node, BatchNorm1DNode):
             for name, v in (("gamma", node.gamma), ("beta", node.beta),
@@ -134,9 +134,9 @@ def validate(net: SequentialNetwork) -> list[str]:
                             ("running_var", node.running_var)):
                 if v.shape[0] != node.dim:
                     errors.append(f"{name} length {v.shape[0]} != dim {node.dim} at node {i}")
-                if not np.all(np.isfinite(v)):
+                if not np.isfinite(v).all():
                     errors.append(f"non-finite {name} at node {i}")
-            if np.any(node.running_var < 0):
+            if (node.running_var < 0).any():
                 errors.append(f"negative running_var at node {i}")
             if node.eps <= 0:
                 errors.append(f"eps must be positive at node {i}")

@@ -7,13 +7,14 @@ Verified means no input in the box satisfies any violation disjunct,
 Falsified comes with a concretely re-validated counterexample.
 """
 
+import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 
 from .network import (FullyConnectedNode, ReLUNode, SequentialNetwork,
                       fold_batchnorm, forward, forward_batch)
@@ -26,6 +27,10 @@ __all__ = ["Status", "Counterexample", "VerificationResult", "BabConfig",
            "LPUndecidedError", "SpuriousWitnessError"]
 
 CEX_TOL = 1e-7
+# How far an LP point may miss the box or the rows: scipy's linprog check,
+# sqrt of its default tol 1e-9, times 10
+LP_TOL = np.sqrt(1e-9) * 10
+_thread = threading.local()  # holds each thread's HiGHS solver
 
 
 class Status(str, Enum):
@@ -171,19 +176,108 @@ def verify_ibp(net: SequentialNetwork, prop: Property,
                                            seed=seed))
 
 
+class LPResult(NamedTuple):
+    """Outcome of one LP, with scipy's linprog status codes: 0 feasible (x is
+    the point), 2 proven infeasible, 4 undecided (message says why)."""
+    status: int
+    x: Optional[np.ndarray] = None
+    message: str = ""
+
+
+def _solver():
+    """This thread's HiGHS solver, created and configured on first use with
+    the options scipy's linprog(method="highs") passes: no output, presolve
+    on, dual simplex."""
+    highs = getattr(_thread, "highs", None)
+    if highs is None:
+        highs = _highs._Highs()
+        for name, value in (("output_flag", False), ("log_to_console", False),
+                            ("presolve", "on"), ("simplex_strategy", 1)):
+            if highs.setOptionValue(name, value) != _highs.HighsStatus.kOk:
+                raise RuntimeError(f"HiGHS rejected option {name}={value!r}")
+        _thread.highs = highs
+    return highs
+
+
+def linprog(a_ub: np.ndarray, b_ub: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray) -> LPResult:
+    """Find a point with a_ub @ x <= b_ub and lo <= x <= hi (zero cost).
+
+    Only HiGHS's kOptimal gives a point, and only if the point meets the box
+    and the rows within LP_TOL; only kInfeasible proves infeasibility. Every
+    other model status, and a load or run error, is undecided.
+    """
+    if not (np.isfinite(a_ub).all() and np.isfinite(b_ub).all()):
+        raise ValueError("a_ub and b_ub must be finite")
+    m, n = a_ub.shape
+    if b_ub.shape != (m,) or lo.shape != (n,) or hi.shape != (n,):
+        raise ValueError(f"a_ub {a_ub.shape}, b_ub {b_ub.shape}, lo "
+                         f"{lo.shape} and hi {hi.shape} do not fit together")
+    lp = _highs.HighsLp()
+    lp.num_col_, lp.num_row_ = n, m
+    lp.col_cost_ = np.zeros(n)
+    lp.col_lower_, lp.col_upper_ = lo, hi
+    lp.row_lower_ = np.full(m, -_highs.kHighsInf)
+    lp.row_upper_ = b_ub
+    mat = lp.a_matrix_
+    mat.format_ = _highs.MatrixFormat.kRowwise
+    mat.num_col_, mat.num_row_ = n, m
+    mat.start_ = np.arange(0, m * n + 1, n, dtype=np.int32)
+    mat.index_ = np.tile(np.arange(n, dtype=np.int32), m)
+    mat.value_ = a_ub.ravel()
+    highs = _solver()
+    if (highs.passModel(lp) == _highs.HighsStatus.kError
+            or highs.run() == _highs.HighsStatus.kError):
+        return LPResult(4, message="HiGHS failed to load or solve the LP")
+    status = highs.getModelStatus()
+    if status == _highs.HighsModelStatus.kInfeasible:
+        return LPResult(2)
+    if status != _highs.HighsModelStatus.kOptimal:
+        return LPResult(4, message="HiGHS model status "
+                        + highs.modelStatusToString(status))
+    x = np.array(highs.getSolution().col_value)
+    if not ((x >= lo - LP_TOL).all() and (x <= hi + LP_TOL).all()
+            and (a_ub @ x <= b_ub + LP_TOL).all()):
+        return LPResult(4, message=f"HiGHS point misses the box or the rows "
+                        f"by more than {LP_TOL:.2e}")
+    return LPResult(0, x)
+
+
 def lp_feasible(a_ub: np.ndarray, b_ub: np.ndarray, box: Box):
     """Point satisfying a_ub @ x <= b_ub inside the box, or None if the
     system is infeasible. Raises LPUndecidedError on solver distress."""
-    bounds = list(zip(box.lo, box.hi))
     if a_ub.shape[0] == 0:
         return box.center()
-    res = linprog(c=np.zeros(box.dim), A_ub=a_ub, b_ub=b_ub, bounds=bounds,
-                  method="highs")
+    res = linprog(a_ub, b_ub, box.lo, box.hi)
     if res.status == 0:
-        return np.asarray(res.x, dtype=np.float64)
+        return res.x
     if res.status == 2:
         return None
-    raise LPUndecidedError(f"linprog status {res.status}: {res.message}")
+    raise LPUndecidedError(f"LP status {res.status}: {res.message}")
+
+
+def _fc_offsets(fcs) -> list:
+    """Offset in a hidden activation pattern of each FC node's neurons."""
+    return np.cumsum([0] + [n.out_dim for n in fcs]).tolist()
+
+
+def _fc_map(fcs, offsets, pattern, li, cache):
+    """(a, c) with a @ x + c the output of fcs[li] as a function of the input
+    x, under the activation pattern (1 active, 0 inactive) of the hidden
+    layers before it. Looked up in and added to `cache`, keyed by li and
+    that part of the pattern, with the maps of the layers before it."""
+    key = (li, pattern[:offsets[li]].tobytes())
+    hit = cache.get(key)
+    if hit is None:
+        if li == 0:
+            a, c = np.eye(fcs[0].in_dim), np.zeros(fcs[0].in_dim)
+        else:
+            a, c = _fc_map(fcs, offsets, pattern, li - 1, cache)
+            active = pattern[offsets[li - 1]:offsets[li]].astype(bool)
+            a, c = a * active[:, None], c * active
+        node = fcs[li]
+        hit = cache[key] = (node.weights @ a, node.weights @ c + node.bias)
+    return hit
 
 
 def _affine_maps(net: SequentialNetwork, pattern: np.ndarray):
@@ -195,32 +289,22 @@ def _affine_maps(net: SequentialNetwork, pattern: np.ndarray):
     """
     if not _is_folded(net):
         raise ValueError("expected a folded (FC/ReLU only) network")
-    d = net.input_dim
-    a = np.eye(d)
-    c = np.zeros(d)
-    sign_rows = []
-    sign_rhs = []
-    k = 0
-    fc_nodes = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
-    for li, node in enumerate(fc_nodes):
-        a = node.weights @ a
-        c = node.weights @ c + node.bias
-        if li == len(fc_nodes) - 1:
-            break
-        width = node.out_dim
-        active = pattern[k:k + width].astype(bool)
-        k += width
+    fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
+    offsets = _fc_offsets(fcs)
+    if offsets[-2] != pattern.shape[0]:
+        raise ValueError(f"pattern length {pattern.shape[0]} != hidden "
+                         f"neuron count {offsets[-2]}")
+    cache = {}
+    sign_rows = [np.zeros((0, net.input_dim))]
+    sign_rhs = [np.zeros(0)]
+    for li in range(len(fcs) - 1):
+        a, c = _fc_map(fcs, offsets, pattern, li, cache)
+        active = pattern[offsets[li]:offsets[li + 1]].astype(bool)
         # active: pre >= 0  ->  -row @ x <= const ; inactive: row @ x <= -const
         sign_rows.append(np.where(active[:, None], -a, a))
         sign_rhs.append(np.where(active, c, -c))
-        a = a * active[:, None]
-        c = c * active
-    if k != pattern.shape[0]:
-        raise ValueError(f"pattern length {pattern.shape[0]} != hidden "
-                         f"neuron count {k}")
-    rows = np.vstack(sign_rows) if sign_rows else np.zeros((0, d))
-    rhs = np.concatenate(sign_rhs) if sign_rhs else np.zeros(0)
-    return rows, rhs, a, c
+    a_out, c_out = _fc_map(fcs, offsets, pattern, len(fcs) - 1, cache)
+    return np.vstack(sign_rows), np.concatenate(sign_rhs), a_out, c_out
 
 
 def check_pattern(net: SequentialNetwork, box: Box, pattern: np.ndarray,
@@ -270,6 +354,11 @@ def _enum_decide(net, box, prop, alive, los, his, counters, deadline):
     """
     free = np.flatnonzero((los < 0.0) & (his > 0.0))
     lo, hi = box.lo, box.hi
+    fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
+    offsets = _fc_offsets(fcs)
+    # index in fcs of the FC node each free neuron belongs to
+    layer = np.searchsorted(offsets, free, side="right") - 1
+    maps = {}  # each FC node's map per pattern of the layers before it
     saved = 0  # LPs that trying every pattern would run, less those we ran
     # (depth, pattern, prefix rows and rhs, a point that may satisfy them);
     # the last row is the child's own and is still unchecked
@@ -296,17 +385,19 @@ def _enum_decide(net, box, prop, alive, los, his, counters, deadline):
                         saved += subtree
                         continue
         if depth < free.size:
-            n = free[depth]  # pattern[n] is still 0: its row is "inactive"
-            sign_rows, sign_rhs = _affine_maps(net, pattern)[:2]
+            n, li = free[depth], layer[depth]
+            a, c = _fc_map(fcs, offsets, pattern, li, maps)
+            # the "inactive" row of neuron n, as _affine_maps orients it
+            row, row_rhs = a[n - offsets[li]], -c[n - offsets[li]]
             for bit, sign in ((1, -1.0), (0, 1.0)):  # inactive pops first
                 child = pattern.copy()
                 child[n] = bit
                 stack.append((depth + 1, child,
-                              np.vstack([rows, sign * sign_rows[n]]),
-                              np.append(rhs, sign * sign_rhs[n]), x))
+                              np.vstack([rows, sign * row]),
+                              np.append(rhs, sign * row_rhs), x))
             continue
         counters["enum_leaves"] += 1
-        a_out, c_out = _affine_maps(net, pattern)[2:]
+        a_out, c_out = _fc_map(fcs, offsets, pattern, len(fcs) - 1, maps)
         for j in alive:
             disjunct = prop.violation[j]
             if any(_box_min(a.coeffs @ a_out, lo, hi)

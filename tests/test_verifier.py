@@ -1,6 +1,8 @@
+import threading
 import time
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,9 +14,9 @@ from relukit.network import (FullyConnectedNode, ReLUNode, SequentialNetwork,
                              forward)
 from relukit.properties import (Box, LinearAtom, Property,
                                 robustness_property, satisfies_disjunct)
-from relukit.verifier import (CEX_TOL, BabConfig, SpuriousWitnessError,
-                              Status, check_pattern, falsify_sample,
-                              interval_forward, lp_feasible,
+from relukit.verifier import (CEX_TOL, BabConfig, LPUndecidedError,
+                              SpuriousWitnessError, Status, check_pattern,
+                              falsify_sample, interval_forward, lp_feasible,
                               root_unstable_count, verify_bab, verify_ibp)
 
 
@@ -202,6 +204,185 @@ class TestLpFeasible:
             assert (point is not None) == fm_feasible(cons, n)
             if point is not None:
                 assert np.all(a @ point <= b + 1e-9)
+
+
+    @staticmethod
+    def random_system(rng, case):
+        """A seeded LP, shaped by `case`: 0 random rows, 1 no rows, 2 a row
+        and its negation one apart (infeasible), 3 every row twice, 4 a box
+        with some lo == hi."""
+        n = int(rng.integers(1, 5))
+        m = 0 if case == 1 else int(rng.integers(1, 7))
+        a = np.round(rng.normal(size=(m, n)), 2)
+        b = np.round(rng.normal(size=m), 2)
+        lo = np.round(rng.uniform(-3.0, 0.0, size=n), 2)
+        hi = np.round(rng.uniform(0.0, 3.0, size=n), 2)
+        if case == 2:
+            a = np.vstack([a, -a[:1]])
+            b = np.append(b, -b[0] - 1.0)
+        elif case == 3:
+            a, b = np.vstack([a, a]), np.concatenate([b, b])
+        elif case == 4:
+            point = rng.random(n) < 0.6
+            hi[point] = lo[point]
+        return a, b, Box(lo, hi)
+
+    def test_agreement_with_scipy_linprog(self):
+        from scipy.optimize import linprog  # the oracle, nothing else
+        rng = np.random.default_rng(7)
+        statuses = []
+        for i in range(250):
+            a, b, box = self.random_system(rng, i % 5)
+            ref = linprog(np.zeros(box.dim), A_ub=a if a.size else None,
+                          b_ub=b if a.size else None,
+                          bounds=list(zip(box.lo, box.hi)), method="highs")
+            assert ref.status in (0, 2)
+            point = lp_feasible(a, b, box)
+            assert (point is None) == (ref.status == 2)
+            statuses.append((i % 5, ref.status))
+            if point is not None:
+                assert np.all(point >= box.lo - 1e-7)
+                assert np.all(point <= box.hi + 1e-7)
+                assert np.all(a @ point <= b + 1e-7)
+        for case in (0, 3, 4):  # both outcomes occur, not just one
+            assert {st for c, st in statuses if c == case} == {0, 2}
+        assert {st for c, st in statuses if c in (1, 2)} == {0, 2}
+
+    @pytest.mark.parametrize("a, b", [
+        (np.array([[np.nan]]), np.array([1.0])),
+        (np.array([[1.0]]), np.array([np.inf])),
+        (np.array([[-np.inf]]), np.array([0.0]))])
+    def test_non_finite_system_is_rejected(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            lp_feasible(a, b, self.BOX)
+
+    class Doctored:
+        """The thread's real solver, with some answers replaced."""
+
+        def __init__(self, **answers):
+            self.highs = verifier._solver()
+            self.answers = answers
+
+        def __getattr__(self, name):
+            if name in self.answers:
+                return lambda *args: self.answers[name]
+            return getattr(self.highs, name)
+
+    FEASIBLE = (np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("status", ["kModelError",
+                                        "kUnboundedOrInfeasible",
+                                        "kTimeLimit"])
+    def test_status_other_than_optimal_or_infeasible_is_undecided(
+            self, monkeypatch, status):
+        doctored = self.Doctored(
+            getModelStatus=getattr(verifier._highs.HighsModelStatus, status))
+        monkeypatch.setattr(verifier, "_solver", lambda: doctored)
+        with pytest.raises(LPUndecidedError, match="model status"):
+            lp_feasible(*self.FEASIBLE, self.BOX)
+
+    @pytest.mark.parametrize("step", ["passModel", "run"])
+    def test_solver_error_is_undecided(self, monkeypatch, step):
+        doctored = self.Doctored(**{step: verifier._highs.HighsStatus.kError})
+        monkeypatch.setattr(verifier, "_solver", lambda: doctored)
+        with pytest.raises(LPUndecidedError):
+            lp_feasible(*self.FEASIBLE, self.BOX)
+
+    @pytest.mark.parametrize("x", [
+        [1.0 + 2 * verifier.LP_TOL],   # misses the row x <= 1
+        [-2 * verifier.LP_TOL],        # misses the row -x <= 0
+        [np.nan]])
+    def test_point_off_the_rows_is_undecided(self, monkeypatch, x):
+        doctored = self.Doctored(getSolution=SimpleNamespace(col_value=x))
+        monkeypatch.setattr(verifier, "_solver", lambda: doctored)
+        with pytest.raises(LPUndecidedError, match="misses"):
+            lp_feasible(*self.FEASIBLE, self.BOX)
+
+    def test_point_off_the_box_is_undecided(self, monkeypatch):
+        doctored = self.Doctored(
+            getSolution=SimpleNamespace(col_value=[10.0 + 2 * verifier.LP_TOL]))
+        monkeypatch.setattr(verifier, "_solver", lambda: doctored)
+        with pytest.raises(LPUndecidedError, match="misses"):
+            lp_feasible(np.array([[0.0]]), np.array([1.0]), self.BOX)
+
+    def test_reused_solver_is_order_independent(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(6, 3))
+        b = rng.normal(size=6) + 1.0
+        box = Box(np.full(3, -2.0), np.full(3, 2.0))
+        infeasible = (np.array([[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]]),
+                      np.array([0.5, -1.0]))
+        monkeypatch.setattr(verifier, "_thread", threading.local())
+        first = lp_feasible(a, b, box)
+        assert first is not None
+        assert lp_feasible(*infeasible, box) is None
+        assert np.array_equal(lp_feasible(a, b, box), first)
+
+    def test_one_solver_per_thread(self):
+        mine = verifier._solver()
+        assert verifier._solver() is mine
+        theirs = []
+        worker = threading.Thread(
+            target=lambda: theirs.append(verifier._solver()))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert len(theirs) == 1 and theirs[0] is not mine
+
+
+def affine_maps_loop(net, pattern):
+    """Reference for verifier._affine_maps: one loop over the FC layers that
+    composes every layer's map from the input, with no cache."""
+    d = net.input_dim
+    a, c = np.eye(d), np.zeros(d)
+    rows, rhs, k = [np.zeros((0, d))], [np.zeros(0)], 0
+    fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
+    for li, node in enumerate(fcs):
+        a = node.weights @ a
+        c = node.weights @ c + node.bias
+        if li == len(fcs) - 1:
+            break
+        active = pattern[k:k + node.out_dim].astype(bool)
+        k += node.out_dim
+        rows.append(np.where(active[:, None], -a, a))
+        rhs.append(np.where(active, c, -c))
+        a = a * active[:, None]
+        c = c * active
+    return np.vstack(rows), np.concatenate(rhs), a, c
+
+
+class TestAffineMaps:
+    def test_cached_layer_maps_equal_the_loop(self):
+        """One cache shared across many patterns, as in the pattern search,
+        gives every layer's sign rows and the output map bit for bit."""
+        for seed in range(8):
+            net = random_net((2, 3, 3, 3, 2), seed=seed, with_bn=False)
+            fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
+            offsets = verifier._fc_offsets(fcs)
+            rng = np.random.default_rng(seed)
+            cache = {}
+            for _ in range(60):
+                pattern = rng.integers(0, 2, size=9)
+                rows, rhs, a_out, c_out = affine_maps_loop(net, pattern)
+                got = verifier._affine_maps(net, pattern)
+                assert all(np.array_equal(r, g)
+                           for r, g in zip((rows, rhs, a_out, c_out), got))
+                for li in range(len(fcs) - 1):
+                    a, c = verifier._fc_map(fcs, offsets, pattern, li, cache)
+                    part = slice(offsets[li], offsets[li + 1])
+                    active = pattern[part].astype(bool)
+                    assert np.array_equal(np.where(active[:, None], -a, a),
+                                          rows[part])
+                    assert np.array_equal(np.where(active, c, -c), rhs[part])
+                a, c = verifier._fc_map(fcs, offsets, pattern, len(fcs) - 1,
+                                        cache)
+                assert np.array_equal(a, a_out) and np.array_equal(c, c_out)
+            assert len(cache) < 60 * len(fcs)  # earlier layers were reused
+
+    def test_pattern_length_is_checked(self):
+        net = random_net((2, 3, 2), seed=0, with_bn=False)
+        with pytest.raises(ValueError, match="pattern length 2"):
+            verifier._affine_maps(net, np.zeros(2, dtype=int))
 
 
 class TestCheckPattern:
