@@ -1,5 +1,5 @@
-"""Native verification engine: interval bound propagation plus branch and
-bound with exact activation-pattern leaf decisions.
+"""Native verification engine: back-substituted linear bounds plus branch
+and bound with exact activation-pattern leaf decisions.
 
 Networks are batch-norm-folded before analysis, so the engine only ever sees
 alternating fully-connected and ReLU layers. Verdicts are violation-oriented:
@@ -64,6 +64,10 @@ class VerificationResult:
 
 @dataclass
 class BabConfig:
+    """Limits and seeds of verify_bab. time_budget (seconds) is checked
+    before each node and at each node of the exact pattern search; one LP
+    or one sampling batch already running is not interrupted, so a verdict
+    can overrun the budget by that much."""
     max_nodes: int = 100000
     min_box_width: float = 1e-6
     enum_threshold: int = 12
@@ -91,6 +95,14 @@ def _folded(net: SequentialNetwork) -> SequentialNetwork:
     return net if _is_folded(net) else fold_batchnorm(net)
 
 
+def _interval_fc(node: FullyConnectedNode, lo: np.ndarray, hi: np.ndarray):
+    """Interval image of [lo, hi] under one FC node."""
+    w_pos = np.maximum(node.weights, 0.0)
+    w_neg = np.minimum(node.weights, 0.0)
+    return (w_pos @ lo + w_neg @ hi + node.bias,
+            w_pos @ hi + w_neg @ lo + node.bias)
+
+
 def interval_forward(net: SequentialNetwork, box: Box):
     """Per-node interval bounds over a folded network.
 
@@ -104,10 +116,7 @@ def interval_forward(net: SequentialNetwork, box: Box):
     bounds = []
     for node in net.nodes:
         if isinstance(node, FullyConnectedNode):
-            w_pos = np.maximum(node.weights, 0.0)
-            w_neg = np.minimum(node.weights, 0.0)
-            lo, hi = (w_pos @ lo + w_neg @ hi + node.bias,
-                      w_pos @ hi + w_neg @ lo + node.bias)
+            lo, hi = _interval_fc(node, lo, hi)
         else:
             lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
         bounds.append((lo, hi))
@@ -119,24 +128,87 @@ def _box_min(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return np.maximum(coeffs, 0.0) @ lo + np.minimum(coeffs, 0.0) @ hi
 
 
+def _relu_relaxation(lo: np.ndarray, hi: np.ndarray):
+    """Per neuron, (lower, upper, shift) with lower * z <= relu(z) <=
+    upper * z + shift for every z in [lo, hi].
+
+    A neuron with lo >= 0 is the identity and one with hi <= 0 is zero. An
+    unstable neuron (lo < 0 < hi) gets the triangle's upper side
+    hi / (hi - lo) * (z - lo) and the lower slope 1 when hi > -lo, else 0,
+    whichever of z and 0 leaves the smaller area under relu on [lo, hi].
+    """
+    unstable = (lo < 0.0) & (hi > 0.0)
+    active = lo >= 0.0
+    upper = np.where(unstable, hi / np.where(unstable, hi - lo, 1.0), active)
+    lower = np.where(unstable, hi > -lo, active).astype(np.float64)
+    return lower, upper, np.where(unstable, -upper * lo, 0.0)
+
+
+def _back_substitute(coeffs, const, fcs, relaxations, box: Box):
+    """Per row, a lower bound over the box of coeffs @ h + const, where h is
+    the output of the last hidden layer in `relaxations` (one per hidden
+    layer from the first, as _relu_relaxation gives them), or the input when
+    there is none. Layer by layer towards the input, each ReLU is replaced by
+    the side of its relaxation that bounds each row from below (the lower
+    slope under a positive coefficient, the upper line under a negative
+    one), and then the FC node before it; _box_min minimizes what is left.
+    """
+    for node, (lower, upper, shift) in zip(reversed(fcs[:len(relaxations)]),
+                                           reversed(relaxations)):
+        neg = np.minimum(coeffs, 0.0)
+        const = const + neg @ shift
+        coeffs = np.maximum(coeffs, 0.0) * lower + neg * upper
+        const = const + coeffs @ node.bias
+        coeffs = coeffs @ node.weights
+    return _box_min(coeffs, box.lo, box.hi) + const
+
+
 def _bound(net: SequentialNetwork, box: Box, violation=()):
     """The bounding step over a folded network, shared by every engine.
 
-    Returns (pre_lo, pre_hi, unstable, alive): the interval bounds of every
-    hidden pre-activation as two flat vectors (empty without a hidden layer),
-    the number of hidden ReLUs whose bounds straddle 0, and the indices of the
-    violation disjuncts the output bounds do not refute.
+    Returns (pre_lo, pre_hi, unstable, alive): bounds of every hidden
+    pre-activation as two flat vectors (empty without a hidden layer), the
+    number of hidden ReLUs whose bounds straddle 0, and the indices of the
+    violation disjuncts not refuted.
+
+    Layer by layer, a hidden layer's bounds are the elementwise tighter of
+    its interval step from the previous layer's bounds and the back-
+    substitution (_back_substitute) of its rows and their negations through
+    the ReLU relaxations of the layers before it, so they are never looser
+    than interval_forward's. A disjunct is refuted when one of its atoms
+    coeffs @ y <= rhs is: its closed-form minimum over the output's interval
+    step, or the back-substituted lower bound of coeffs @ y itself, exceeds
+    rhs. One backward pass serves every atom.
     """
-    bounds = interval_forward(net, box)
-    pre = [b for b, nxt in zip(bounds, net.nodes[1:])
-           if isinstance(nxt, ReLUNode)]
-    pre_lo = np.concatenate([np.zeros(0)] + [lo for lo, _ in pre])
-    pre_hi = np.concatenate([np.zeros(0)] + [hi for _, hi in pre])
+    fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
+    relaxations, pre_lo, pre_hi = [], [np.zeros(0)], [np.zeros(0)]
+    lo, hi = box.lo, box.hi
+    for node in fcs[:-1]:
+        lo, hi = _interval_fc(node, lo, hi)
+        if relaxations:
+            w, b, n = node.weights, node.bias, node.out_dim
+            back = _back_substitute(np.vstack([w, -w]),
+                                    np.concatenate([b, -b]), fcs,
+                                    relaxations, box)
+            lo, hi = np.maximum(lo, back[:n]), np.minimum(hi, -back[n:])
+        pre_lo.append(lo)
+        pre_hi.append(hi)
+        relaxations.append(_relu_relaxation(lo, hi))
+        lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
+    pre_lo, pre_hi = np.concatenate(pre_lo), np.concatenate(pre_hi)
     unstable = int(np.sum((pre_lo < 0.0) & (pre_hi > 0.0)))
-    out_lo, out_hi = bounds[-1]
-    alive = [j for j, disjunct in enumerate(violation)
-             if not any(_box_min(a.coeffs, out_lo, out_hi) > a.rhs
-                        for a in disjunct)]
+    if not violation:
+        return pre_lo, pre_hi, unstable, []
+    out = fcs[-1]
+    out_lo, out_hi = _interval_fc(out, lo, hi)
+    rows = np.stack([a.coeffs for d in violation for a in d])
+    rhs = np.array([a.rhs for d in violation for a in d])
+    refuted = ((_box_min(rows, out_lo, out_hi) > rhs)
+               | (_back_substitute(rows @ out.weights, rows @ out.bias, fcs,
+                                   relaxations, box) > rhs))
+    ends = np.cumsum([len(d) for d in violation])
+    alive = [j for j, part in enumerate(np.split(refuted, ends[:-1]))
+             if not part.any()]
     return pre_lo, pre_hi, unstable, alive
 
 
@@ -158,19 +230,21 @@ def _falsify(net, folded, prop, points) -> Optional[Counterexample]:
     satisfies a violation disjunct, re-validated on `net`; None when no point
     does or the first one fails re-validation."""
     ys = forward_batch(folded, points)
-    for i in range(points.shape[0]):
-        for disjunct in prop.violation:
-            if satisfies_disjunct(ys[i], disjunct, tol=0.0):
-                return _validated_cex(net, prop, points[i])
-    return None
+    hit = np.zeros(points.shape[0], dtype=bool)
+    for disjunct in prop.violation:
+        coeffs = np.stack([a.coeffs for a in disjunct])
+        rhs = np.array([a.rhs for a in disjunct])
+        hit |= (ys @ coeffs.T <= rhs).all(axis=1)
+    first = np.flatnonzero(hit)
+    return _validated_cex(net, prop, points[first[0]]) if first.size else None
 
 
 def verify_ibp(net: SequentialNetwork, prop: Property,
                sample_count: int = 32, seed: int = 0) -> VerificationResult:
-    """The root node of verify_bab: interval refutation, a quick sampling
-    falsification, and, when no ReLU is unstable, the exact decision of the
-    one activation pattern (an interval test per disjunct, then one LP for
-    each disjunct that test leaves open)."""
+    """The root node of verify_bab: refutation by the bounding step, a quick
+    sampling falsification, and, when no ReLU is unstable, the exact
+    decision of the one activation pattern (an interval test per disjunct,
+    then one LP for each disjunct that test leaves open)."""
     return verify_bab(net, prop, BabConfig(max_nodes=1, enum_threshold=0,
                                            sample_count=sample_count,
                                            seed=seed))
@@ -419,15 +493,15 @@ def verify_bab(net: SequentialNetwork, prop: Property,
                config: BabConfig = None) -> VerificationResult:
     """Branch-and-bound decision over the input box.
 
-    Per node: IBP refutation, concrete sampling, the exact depth-first
-    pattern search of _enum_decide when few ReLUs are unstable, else split
-    the widest input dimension at its midpoint. Verified only when every
-    node is refuted or exactly decided safe; Falsified only with a
-    concretely re-validated counterexample. The time budget is checked
-    before each node and at each node of the pattern search; running out
-    gives Unknown with reason "time budget exhausted". stats counts nodes,
-    LPs, total patterns reached (enum_leaves) and pattern subtrees pruned
-    (enum_pruned).
+    Per node: refutation by the bounding step (_bound), concrete
+    sampling, the exact depth-first pattern search of _enum_decide when few
+    ReLUs are unstable, else split the widest input dimension at its
+    midpoint. Verified only when every node is refuted or exactly decided
+    safe; Falsified only with a concretely re-validated counterexample. The
+    time budget is checked before each node and at each node of the pattern
+    search; running out gives Unknown with reason "time budget exhausted".
+    stats counts nodes, LPs, total patterns reached (enum_leaves) and
+    pattern subtrees pruned (enum_pruned).
     """
     if config is None:
         config = BabConfig()
@@ -513,5 +587,6 @@ def falsify_sample(net: SequentialNetwork, prop: Property, n_samples: int,
 
 
 def root_unstable_count(net: SequentialNetwork, box: Box) -> int:
-    """Number of hidden ReLUs whose root IBP pre-activation straddles 0."""
+    """Number of hidden ReLUs whose root pre-activation bounds, from the
+    bounding step, straddle 0."""
     return _bound(_folded(net), box)[2]

@@ -11,7 +11,7 @@ from conftest import random_net
 from oracles import exact_pattern_verdict, fm_feasible
 from relukit import verifier
 from relukit.network import (FullyConnectedNode, ReLUNode, SequentialNetwork,
-                             forward)
+                             fold_batchnorm, forward, forward_batch)
 from relukit.properties import (Box, LinearAtom, Property,
                                 robustness_property, satisfies_disjunct)
 from relukit.verifier import (CEX_TOL, BabConfig, LPUndecidedError,
@@ -99,6 +99,92 @@ class TestIntervalForward:
                     assert np.all(h <= bhi + 1e-12)
 
 
+def hidden_pre_activations(net, xs):
+    """Every hidden pre-activation of a folded net, one row per input."""
+    h, pre = xs, [np.zeros((xs.shape[0], 0))]
+    for node in net.nodes:
+        if isinstance(node, FullyConnectedNode):
+            h = h @ node.weights.T + node.bias
+        else:
+            pre.append(h)
+            h = np.maximum(h, 0.0)
+    return np.hstack(pre)
+
+
+class TestBound:
+    def test_contains_samples_and_is_inside_ibp(self):
+        """On seeded folded nets, with and without BN: sampled hidden
+        pre-activations lie inside the bounds, the bounds inside the IBP
+        bounds, and a disjunct is refuted whenever IBP refutes one of its
+        atoms but never when a sampled output satisfies it."""
+        TOL = 1e-9
+        rng = np.random.default_rng(11)
+        tighter_hidden = tighter_atoms = 0
+        for trial in range(24):
+            widths = (3, 6, 5, 4, 3) if trial % 2 else (2, 5, 5, 2)
+            net = fold_batchnorm(random_net(widths, seed=trial,
+                                            with_bn=trial % 3 != 0,
+                                            scale=1.5))
+            lo = rng.uniform(-1.0, 0.5, size=widths[0])
+            box = Box(lo, lo + rng.uniform(0.05, 1.0, size=widths[0]))
+            xs = rng.uniform(box.lo, box.hi, size=(3000, widths[0]))
+            ys = forward_batch(net, xs)
+            ibp = interval_forward(net, box)
+            ibp_pre = [b for b, n in zip(ibp, net.nodes[1:])
+                       if isinstance(n, ReLUNode)]
+            ibp_lo = np.concatenate([lo for lo, _ in ibp_pre])
+            ibp_hi = np.concatenate([hi for _, hi in ibp_pre])
+            # one-atom disjuncts from below IBP's minimum of the atom's
+            # function up to its sampled minimum, then a two-atom disjunct
+            # that sample 0 satisfies and one with an atom IBP refutes; a
+            # sampled output satisfies an atom with TOL to spare, because
+            # the bounds, like the samples, are rounded
+            atoms, ibp_refutes, sampled = [], [], []
+            for c in rng.normal(size=(4, widths[-1])):
+                ibp_min = float(verifier._box_min(c, *ibp[-1]))
+                seen = float((ys @ c).min())
+                for rhs in np.linspace(ibp_min - 0.1, seen + TOL, 6):
+                    atoms.append([LinearAtom(c, rhs)])
+                    ibp_refutes.append(rhs < ibp_min)
+                    sampled.append(rhs >= seen + TOL)
+            c1, c2 = rng.normal(size=(2, widths[-1]))
+            atoms.append([LinearAtom(c1, c1 @ ys[0] + TOL),
+                          LinearAtom(c2, c2 @ ys[0] + TOL)])
+            ibp_refutes.append(False)
+            sampled.append(True)
+            atoms.append([LinearAtom(c1, c1 @ ys[0] + TOL), atoms[0][0]])
+            ibp_refutes.append(True)
+            sampled.append(False)
+
+            pre_lo, pre_hi, unstable, alive = verifier._bound(net, box, atoms)
+            pre = hidden_pre_activations(net, xs)
+            assert np.all(pre >= pre_lo - TOL), trial
+            assert np.all(pre <= pre_hi + TOL), trial
+            assert np.all(pre_lo >= ibp_lo) and np.all(pre_hi <= ibp_hi)
+            assert unstable == np.sum((pre_lo < 0.0) & (pre_hi > 0.0))
+            tighter_hidden += bool(np.any(pre_lo > ibp_lo + TOL)
+                                   or np.any(pre_hi < ibp_hi - TOL))
+            for j, (refuted, hit) in enumerate(zip(ibp_refutes, sampled)):
+                if refuted:
+                    assert j not in alive, (trial, j)
+                if hit:
+                    assert j in alive, (trial, j)
+                tighter_atoms += not refuted and not hit and j not in alive
+        assert tighter_hidden > 0 and tighter_atoms > 0
+
+    def test_adaptive_lower_slope_refutes_what_ibp_cannot(self):
+        # Y_0 = relu(x) - (x + 2) + 2 = relu(x) - x >= 0 on [-1, 2]; IBP
+        # sees [-2, 3], but x's ReLU has hi > -lo, so its lower slope is 1
+        # and relu(x) >= x gives Y_0 >= 0
+        net = SequentialNetwork("ramp", 1, [
+            FullyConnectedNode([[1.0], [1.0]], [0.0, 2.0]), ReLUNode(2),
+            FullyConnectedNode([[1.0, -1.0]], [2.0])])
+        box = Box([-1.0], [2.0])
+        assert interval_forward(net, box)[-1][0] == pytest.approx([-2.0])
+        assert verifier._bound(net, box, violation([1.0], -0.25))[3] == []
+        assert verifier._bound(net, box, violation([1.0], 0.0))[3] == [0]
+
+
 class TestVerifyIbp:
     def test_verified(self):
         res = verify_ibp(identity_net(),
@@ -115,12 +201,27 @@ class TestVerifyIbp:
         assert res.counterexample.input[0] >= 0.5
 
     def test_unknown_on_loose_bounds(self):
-        # true range of |x| over [-1,1] is [0,1] but IBP sees [0,2]
-        prop = Property(Box([-1.0], [1.0]), violation([-1.0], -1.5), 1)
-        res = verify_ibp(abs_net(), prop)
+        # Y_0 = relu(x) - relu(x) = 0, but each unstable ReLU is relaxed on
+        # its own: back-substitution bounds Y_0 below by -1 on [-1, 1], so
+        # Y_0 <= -0.5 is left open, and the root node cannot split
+        net = SequentialNetwork("twin", 1, [
+            FullyConnectedNode([[1.0], [1.0]], [0.0, 0.0]),
+            ReLUNode(2),
+            FullyConnectedNode([[1.0, -1.0]], [0.0])])
+        prop = Property(Box([-1.0], [1.0]), violation([1.0], -0.5), 1)
+        assert verifier._bound(net, prop.input_box, prop.violation)[3] == [0]
+        res = verify_ibp(net, prop)
         assert res.status == Status.UNKNOWN
         assert not exact_pattern_verdict(
-            fc_layers(abs_net()), [-1.0], [1.0], [[([-1.0], -1.5)]])
+            fc_layers(net), [-1.0], [1.0], [[([1.0], -0.5)]])
+
+    def test_back_substitution_refutes_at_the_root(self):
+        # true range of |x| over [-1, 1] is [0, 1]; IBP sees [0, 2], but the
+        # two triangle relaxations sum to (x + 1) / 2 + (1 - x) / 2 = 1
+        prop = Property(Box([-1.0], [1.0]), violation([-1.0], -1.5), 1)
+        res = verify_ibp(abs_net(), prop)
+        assert res.status == Status.VERIFIED
+        assert res.stats["nodes"] == 1 and res.stats["lp_calls"] == 0
 
     def test_exact_lp_when_no_relu_is_unstable(self):
         # output is (x + 1) - (x + 1) = 0, but IBP sees [-1, 1]; both ReLUs
@@ -518,7 +619,7 @@ class TestEnumDecide:
         safe = falsified = pruned = 0
         for widths in ([2, 3, 3, 3], [3, 4, 2, 3], [2, 5, 3],
                        [3, 3, 3, 3, 3]):
-            for seed in range(24):
+            for seed in range(48):
                 net, prop = tiny_instance(seed, widths)
                 box = prop.input_box
                 los, his, free, alive = verifier._bound(net, box,
@@ -548,6 +649,27 @@ class TestEnumDecide:
                                               tol=CEX_TOL)
                 pruned += counters["enum_pruned"]
         assert safe >= 5 and falsified >= 5 and pruned > 0
+
+
+class TestFalsify:
+    def test_first_witness_matches_the_point_loop(self):
+        """The first point, point-major, that satisfies any disjunct in a
+        per-point satisfies_disjunct loop is the one _falsify returns."""
+        found = 0
+        for seed in range(30):
+            net, prop = tiny_instance(seed + 4000, widths=(2, 4, 4, 3))
+            points = verifier._sample_points(
+                prop.input_box, 200, np.random.default_rng(seed))
+            ref = next((i for i, x in enumerate(points)
+                        if any(satisfies_disjunct(forward(net, x), d)
+                               for d in prop.violation)), None)
+            cex = verifier._falsify(net, net, prop, points)
+            if ref is None:
+                assert cex is None
+            else:
+                found += 1
+                assert np.array_equal(cex.input, points[ref])
+        assert 0 < found < 30
 
 
 class TestFalsifySample:
