@@ -17,7 +17,7 @@ from .network import network_stats
 from .properties import Box, robustness_property
 from .pruning import PruningConfig, network_slim, weight_prune
 from .training import evaluate, init_network, train
-from .verifier import Status, root_unstable_count, verify_bab
+from .verifier import Status, verify_bab
 
 __all__ = ["robustness_queries", "run_experiment"]
 
@@ -67,7 +67,7 @@ def _verify_variant(name, net, queries, bab_cfg):
             "query": i,
             "status": res.status.value,
             "time": time.monotonic() - t0,
-            "root_unstable": root_unstable_count(net, prop.input_box),
+            "root_unstable": res.stats["root_unstable"],
             "nodes": res.stats.get("nodes", 0),
         })
     solved = sum(1 for r in instances if r["status"] != Status.UNKNOWN.value)

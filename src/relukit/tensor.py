@@ -4,6 +4,8 @@ All numeric data is float64 numpy, row-major. W[i][j] is the weight from
 input j to output neuron i.
 """
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -12,6 +14,7 @@ __all__ = [
     "as_vector",
     "as_matrix",
     "check_finite",
+    "require_int",
 ]
 
 
@@ -41,3 +44,12 @@ def check_finite(arr: np.ndarray, context: str = "result") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {context}")
     return arr
+
+
+def require_int(owner, *names) -> None:
+    """Raise ValueError naming the first field of `owner` in `names` whose
+    value is not an integer; a bool is not one."""
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")

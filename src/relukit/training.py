@@ -13,7 +13,7 @@ import numpy as np
 from .datasets import Dataset
 from .network import (BatchNorm1DNode, FullyConnectedNode, ReLUNode,
                       SequentialNetwork, forward_batch, validate)
-from .tensor import NonFiniteError
+from .tensor import NonFiniteError, require_int
 
 __all__ = ["TrainingConfig", "AdamState", "init_network", "loss_and_grads",
            "adam_step", "train", "evaluate"]
@@ -33,6 +33,7 @@ class TrainingConfig:
     bn_momentum: float = 0.1
 
     def __post_init__(self):
+        require_int(self, "batch_size", "epochs", "seed")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
@@ -51,9 +52,12 @@ class TrainingConfig:
 
 @dataclass
 class AdamState:
+    """Step count, and per parameter key Adam's two moments (m, v) and two
+    scratch buffers of the parameter's shape (scratch)."""
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
+    scratch: dict = field(default_factory=dict)
 
 
 def init_network(widths: list[int], seed: int = 0, with_bn: bool = True,
@@ -99,6 +103,20 @@ def _assign_params(net: SequentialNetwork, params: dict) -> None:
         setattr(net.nodes[int(idx)], name, value)
 
 
+def _bind_flat(net: SequentialNetwork):
+    """Pack every trainable parameter of `net` into one new vector, in
+    _collect_params order, and rebind each node's arrays as views of it.
+    Returns (keys in that order, the vector)."""
+    params = _collect_params(net)
+    flat = np.concatenate([p.ravel() for p in params.values()])
+    views, offset = {}, 0
+    for key, p in params.items():
+        views[key] = flat[offset:offset + p.size].reshape(p.shape)
+        offset += p.size
+    _assign_params(net, views)
+    return list(views), flat
+
+
 def _has_bn(net: SequentialNetwork) -> bool:
     return any(isinstance(n, BatchNorm1DNode) for n in net.nodes)
 
@@ -120,10 +138,14 @@ def _forward_train(net: SequentialNetwork, xs: np.ndarray):
             cache.append({"input": h})
             h = h @ node.weights.T + node.bias
         elif isinstance(node, BatchNorm1DNode):
-            mu = h.mean(axis=0)
-            var = h.var(axis=0)  # biased
+            # what h.mean / h.var(axis=0) compute, bit for bit, without
+            # their Python overhead; var is biased
+            n = h.shape[0]
+            mu = h.sum(axis=0) / n
+            d = h - mu
+            var = (d * d).sum(axis=0) / n
             inv_std = 1.0 / np.sqrt(var + node.eps)
-            xhat = (h - mu) * inv_std
+            xhat = d * inv_std
             cache.append({"xhat": xhat, "inv_std": inv_std, "mu": mu, "var": var})
             h = node.gamma * xhat + node.beta
         else:
@@ -138,7 +160,7 @@ def _softmax_ce(logits: np.ndarray, labels: np.ndarray):
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_p = shifted - log_z
     n = logits.shape[0]
-    ce = -log_p[np.arange(n), labels].mean()
+    ce = -log_p[np.arange(n), labels].sum() / n  # .mean(), bit for bit
     probs = np.exp(log_p)
     probs[np.arange(n), labels] -= 1.0
     return ce, probs / n
@@ -169,7 +191,8 @@ def loss_and_grads(net: SequentialNetwork, xs: np.ndarray, labels: np.ndarray,
             x_in = cache[i]["input"]
             dw = dh.T @ x_in
             db = dh.sum(axis=0)
-            dh = dh @ node.weights
+            if i > 0:  # nothing reads the gradient of the input
+                dh = dh @ node.weights
             if lam > 0:
                 l2_term += 0.5 * lam / n_b * float(np.sum(node.weights ** 2))
                 dw = dw + lam / n_b * node.weights
@@ -181,8 +204,10 @@ def loss_and_grads(net: SequentialNetwork, xs: np.ndarray, labels: np.ndarray,
             dgamma = (dh * xhat).sum(axis=0)
             dbeta = dh.sum(axis=0)
             dxhat = dh * node.gamma
-            dh = inv_std * (dxhat - dxhat.mean(axis=0)
-                            - xhat * (dxhat * xhat).mean(axis=0))
+            # sums over n_b, as .mean(axis=0) takes them; xhat * S / n_b
+            # would round differently
+            dh = inv_std * (dxhat - dxhat.sum(axis=0) / n_b
+                            - xhat * ((dxhat * xhat).sum(axis=0) / n_b))
             if lam_s > 0:
                 slim_term += lam_s * float(np.sum(np.abs(node.gamma)))
                 # L1 subgradient at 0 taken as 0
@@ -205,27 +230,45 @@ def loss_and_grads(net: SequentialNetwork, xs: np.ndarray, labels: np.ndarray,
 
 def adam_step(params: dict, grads: dict, state: AdamState,
               config: TrainingConfig):
-    """One Adam update over a keyed family of parameter tensors."""
+    """One Adam update over a keyed family of parameter tensors, in place.
+
+    Each params[key] and its moments state.m[key] and state.v[key] are
+    overwritten; grads are only read. A key's moments and two scratch
+    buffers are allocated at its first step, so later steps allocate no
+    parameter-sized array. Returns (params, state), the objects passed in.
+
+    Each elementwise operation keeps the operands and order of
+    m = b1 * m + (1 - b1) * g, v = b2 * v + ((1 - b2) * g) * g and
+    theta - (lr * m_hat) / (sqrt(v_hat) + eps), so the update equals the
+    allocating expression bit for bit.
+    """
     state.t += 1
     t = state.t
     b1, b2 = config.beta1, config.beta2
-    new_params = {}
+    c1, c2 = 1 - b1 ** t, 1 - b2 ** t
     for key, theta in params.items():
         g = grads[key]
-        m = state.m.get(key)
-        v = state.v.get(key)
-        if m is None:
-            m = np.zeros_like(theta)
-            v = np.zeros_like(theta)
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        state.m[key] = m
-        state.v[key] = v
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        new_params[key] = theta - config.learning_rate * m_hat / (
-            np.sqrt(v_hat) + config.adam_eps)
-    return new_params, state
+        if key not in state.m:
+            state.m[key] = np.zeros_like(theta)
+            state.v[key] = np.zeros_like(theta)
+            state.scratch[key] = (np.empty_like(theta), np.empty_like(theta))
+        m, v = state.m[key], state.v[key]
+        a, b = state.scratch[key]
+        np.multiply(m, b1, out=m)
+        np.multiply(g, 1 - b1, out=a)
+        m += a
+        np.multiply(v, b2, out=v)
+        np.multiply(g, 1 - b2, out=a)
+        a *= g
+        v += a
+        np.divide(m, c1, out=a)
+        a *= config.learning_rate
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += config.adam_eps
+        a /= b
+        theta -= a
+    return params, state
 
 
 def _stack_split(samples):
@@ -251,7 +294,9 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
     """Mini-batch Adam training; returns (trained_net, per-epoch metrics).
 
     Deterministic for fixed (net, dataset, config); the input net is not
-    mutated.
+    mutated. The trained net's FC weights and biases and BN gammas and betas
+    are views of one parameter vector, which one adam_step call per batch
+    updates in place.
     """
     errors = validate(net)
     if errors:
@@ -267,6 +312,9 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
     n = xs_all.shape[0]
     test_split = _stack_split(dataset.test) if dataset.test else None
     rng = np.random.default_rng(config.seed)
+    keys, flat = _bind_flat(net)
+    flat_g = np.empty_like(flat)
+    params, flat_grads = {"flat": flat}, {"flat": flat_g}
     state = AdamState()
     has_bn = _has_bn(net)
 
@@ -283,9 +331,8 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
                 else perm[start:]
             loss, grads, parts = loss_and_grads(net, xs_all[idx], ys_all[idx],
                                                 config)
-            params = _collect_params(net)
-            params, state = adam_step(params, grads, state, config)
-            _assign_params(net, params)
+            np.concatenate([grads[k].ravel() for k in keys], out=flat_g)
+            adam_step(params, flat_grads, state, config)
             for i, (mu, var) in parts["bn_stats"].items():
                 bn = net.nodes[i]
                 bn.running_mean = ((1 - config.bn_momentum) * bn.running_mean

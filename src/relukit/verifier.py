@@ -20,6 +20,7 @@ from .network import (FullyConnectedNode, ReLUNode, SequentialNetwork,
                       fold_batchnorm, forward, forward_batch)
 from .properties import (Box, Property, satisfies_disjunct,
                          violated_disjunct)
+from .tensor import require_int
 
 __all__ = ["Status", "Counterexample", "VerificationResult", "BabConfig",
            "interval_forward", "verify_ibp", "verify_bab", "check_pattern",
@@ -76,6 +77,8 @@ class BabConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_int(self, "max_nodes", "enum_threshold", "sample_count",
+                    "seed")
         for name, ok, rule in (
                 ("max_nodes", self.max_nodes >= 1, ">= 1"),
                 ("enum_threshold", self.enum_threshold >= 0, ">= 0"),
@@ -501,7 +504,9 @@ def verify_bab(net: SequentialNetwork, prop: Property,
     time budget is checked before each node and at each node of the pattern
     search; running out gives Unknown with reason "time budget exhausted".
     stats counts nodes, LPs, total patterns reached (enum_leaves) and
-    pattern subtrees pruned (enum_pruned).
+    pattern subtrees pruned (enum_pruned), and gives root_unstable, the
+    root node's unstable ReLU count (what root_unstable_count returns); the
+    root is bounded before any budget check, so every result has it.
     """
     if config is None:
         config = BabConfig()
@@ -510,11 +515,13 @@ def verify_bab(net: SequentialNetwork, prop: Property,
     rng = np.random.default_rng(config.seed)
     counters = {"lp_calls": 0, "enum_leaves": 0, "enum_pruned": 0}
     worklist = [prop.input_box]
+    bounds = _bound(folded, prop.input_box, prop.violation)
+    root_unstable = bounds[2]
     nodes = 0
     undecided = 0
 
     def result(status, cex=None, reason=None):
-        stats = {"nodes": nodes, **counters,
+        stats = {"nodes": nodes, **counters, "root_unstable": root_unstable,
                  "wall_time": time.monotonic() - start}
         if reason:
             stats["reason"] = reason
@@ -526,9 +533,11 @@ def verify_bab(net: SequentialNetwork, prop: Property,
         if time.monotonic() - start > config.time_budget:
             return result(Status.UNKNOWN, reason="time budget exhausted")
         box = worklist.pop()
+        if nodes:  # the root's bounds are already in hand
+            bounds = _bound(folded, box, prop.violation)
         nodes += 1
 
-        los, his, free, alive = _bound(folded, box, prop.violation)
+        los, his, free, alive = bounds
         if not alive:
             continue
 

@@ -131,3 +131,159 @@ def finite_diff_grads(loss_fn, params, h=1e-5):
             gflat[i] = (up - down) / (2 * h)
         grads[key] = g
     return grads
+
+
+def reference_train(net, dataset, config):
+    """The training loop as first written, kept as the reference that
+    relukit.training.train must match bit for bit: per-key allocating Adam,
+    the parameters re-collected and re-assigned every step, batch-norm
+    statistics from .mean / .var, and the input gradient computed too.
+    Returns (trained_net, per-epoch metrics) like train."""
+    from relukit.network import BatchNorm1DNode, FullyConnectedNode
+
+    net = net.copy()
+    metrics = []
+    if config.epochs == 0 or not dataset.train:
+        return net, metrics
+
+    def stack(samples):
+        return (np.stack([s.input for s in samples]),
+                np.array([s.label for s in samples], dtype=np.int64))
+
+    def collect():
+        params = {}
+        for i, node in enumerate(net.nodes):
+            if isinstance(node, FullyConnectedNode):
+                params[f"{i}.weights"] = node.weights
+                params[f"{i}.bias"] = node.bias
+            elif isinstance(node, BatchNorm1DNode):
+                params[f"{i}.gamma"] = node.gamma
+                params[f"{i}.beta"] = node.beta
+        return params
+
+    def step(xs, labels):
+        h, cache = xs, []
+        for node in net.nodes:
+            if isinstance(node, FullyConnectedNode):
+                cache.append({"input": h})
+                h = h @ node.weights.T + node.bias
+            elif isinstance(node, BatchNorm1DNode):
+                mu = h.mean(axis=0)
+                var = h.var(axis=0)
+                inv_std = 1.0 / np.sqrt(var + node.eps)
+                xhat = (h - mu) * inv_std
+                cache.append({"xhat": xhat, "inv_std": inv_std, "mu": mu,
+                              "var": var})
+                h = node.gamma * xhat + node.beta
+            else:
+                mask = h > 0
+                cache.append({"mask": mask})
+                h = h * mask
+        n_b = xs.shape[0]
+        shifted = h - h.max(axis=1, keepdims=True)
+        log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        ce = -log_p[np.arange(n_b), labels].mean()
+        dh = np.exp(log_p)
+        dh[np.arange(n_b), labels] -= 1.0
+        dh = dh / n_b
+        lam, lam_s = config.l2_lambda, config.slim_lambda
+        grads, l2_term, slim_term = {}, 0.0, 0.0
+        for i in range(len(net.nodes) - 1, -1, -1):
+            node = net.nodes[i]
+            if isinstance(node, FullyConnectedNode):
+                dw = dh.T @ cache[i]["input"]
+                db = dh.sum(axis=0)
+                dh = dh @ node.weights
+                if lam > 0:
+                    l2_term += 0.5 * lam / n_b * float(np.sum(node.weights ** 2))
+                    dw = dw + lam / n_b * node.weights
+                grads[f"{i}.weights"], grads[f"{i}.bias"] = dw, db
+            elif isinstance(node, BatchNorm1DNode):
+                xhat, inv_std = cache[i]["xhat"], cache[i]["inv_std"]
+                dgamma = (dh * xhat).sum(axis=0)
+                dbeta = dh.sum(axis=0)
+                dxhat = dh * node.gamma
+                dh = inv_std * (dxhat - dxhat.mean(axis=0)
+                                - xhat * (dxhat * xhat).mean(axis=0))
+                if lam_s > 0:
+                    slim_term += lam_s * float(np.sum(np.abs(node.gamma)))
+                    dgamma = dgamma + lam_s * np.sign(node.gamma)
+                grads[f"{i}.gamma"], grads[f"{i}.beta"] = dgamma, dbeta
+            else:
+                dh = dh * cache[i]["mask"]
+        bn_stats = {i: (c["mu"], c["var"]) for i, c in enumerate(cache)
+                    if "mu" in c}
+        return ce + l2_term + slim_term, grads, (float(ce), float(l2_term),
+                                                float(slim_term)), bn_stats
+
+    def misclassified(xs, ys):
+        h = xs
+        for node in net.nodes:
+            if isinstance(node, FullyConnectedNode):
+                h = h @ node.weights.T + node.bias
+            elif isinstance(node, BatchNorm1DNode):
+                scale = node.gamma / np.sqrt(node.running_var + node.eps)
+                h = scale * (h - node.running_mean) + node.beta
+            else:
+                h = np.maximum(0.0, h)
+        return int((h.argmax(axis=1) != ys).sum())
+
+    xs_all, ys_all = stack(dataset.train)
+    n = xs_all.shape[0]
+    rng = np.random.default_rng(config.seed)
+    moments_m, moments_v, t = {}, {}, 0
+    b1, b2 = config.beta1, config.beta2
+    has_bn = any(isinstance(node, BatchNorm1DNode) for node in net.nodes)
+    for epoch in range(config.epochs):
+        perm = rng.permutation(n)
+        starts = list(range(0, n, config.batch_size))
+        if has_bn and len(starts) > 1 and n - starts[-1] == 1:
+            starts.pop()
+        sums = [0.0, 0.0, 0.0, 0.0]
+        for b, start in enumerate(starts):
+            idx = (perm[start:start + config.batch_size]
+                   if b < len(starts) - 1 else perm[start:])
+            loss, grads, parts, bn_stats = step(xs_all[idx], ys_all[idx])
+            t += 1
+            for key, theta in collect().items():
+                g = grads[key]
+                m = moments_m.get(key, np.zeros_like(theta))
+                v = moments_v.get(key, np.zeros_like(theta))
+                m = b1 * m + (1 - b1) * g
+                v = b2 * v + (1 - b2) * g * g
+                moments_m[key], moments_v[key] = m, v
+                m_hat = m / (1 - b1 ** t)
+                v_hat = v / (1 - b2 ** t)
+                idx_node, name = key.split(".")
+                setattr(net.nodes[int(idx_node)], name,
+                        theta - config.learning_rate * m_hat
+                        / (np.sqrt(v_hat) + config.adam_eps))
+            for i, (mu, var) in bn_stats.items():
+                bn = net.nodes[i]
+                bn.running_mean = ((1 - config.bn_momentum) * bn.running_mean
+                                   + config.bn_momentum * mu)
+                bn.running_var = ((1 - config.bn_momentum) * bn.running_var
+                                  + config.bn_momentum * var)
+            sums[0] += loss
+            for k in range(3):
+                sums[k + 1] += parts[k]
+        n_batches = len(starts)
+        err01 = misclassified(xs_all, ys_all) / n
+        test_acc = (1.0 - misclassified(*stack(dataset.test))
+                    / len(dataset.test) if dataset.test else float("nan"))
+        sq = sum(float(np.sum(node.weights ** 2)) for node in net.nodes
+                 if isinstance(node, FullyConnectedNode))
+        reg = np.sqrt(sq) / (2 * n)
+        metrics.append({
+            "epoch": epoch,
+            "loss": sums[0] / n_batches,
+            "loss_surrogate": sums[1] / n_batches,
+            "loss_l2": sums[2] / n_batches,
+            "loss_slim": sums[3] / n_batches,
+            "literal_objective": err01 + config.l2_lambda * reg,
+            "literal_err01": err01,
+            "literal_regularizer": reg,
+            "train_accuracy": 1.0 - err01,
+            "test_accuracy": test_acc,
+        })
+    return net, metrics

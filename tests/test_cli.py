@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from relukit.cli import main
+from relukit.datasets import synth_blobs
+from relukit.experiment import robustness_queries
 from relukit.model_io import load_model, save_model
 from relukit.training import init_network
+from relukit.verifier import root_unstable_count
 
 
 SYNTH = {"synth": {"seed": 1, "n_per_class": 40, "num_classes": 2,
@@ -78,6 +81,20 @@ class TestTrain:
         assert main(["train", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "m.json")]) == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 4.5), ("epochs", 2.5), ("seed", 1.5),
+        ("epochs", True)])
+    def test_non_integer_field_exits_three(self, tmp_path, field, value,
+                                           capsys):
+        cfg = write_json(tmp_path / "train.json", {
+            "dataset": SYNTH, "net": {"hidden": [4]},
+            "train": {"epochs": 2, field: value}})
+        out = tmp_path / "m.json"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 3
+        assert (f"config.train: {field} must be an integer, got {value!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestPrune:
@@ -178,6 +195,17 @@ class TestVerify:
                      "--epsilon", "0.3", flag, value]) == 3
         assert field in capsys.readouterr().err
 
+    def test_out_records_root_unstable(self, tmp_path, trained_model,
+                                       train_cfg):
+        out = tmp_path / "result.json"
+        main(["verify", "--model", trained_model, "--robustness",
+              "--config", train_cfg, "--sample-index", "3",
+              "--epsilon", "0.05", "--out", str(out)])
+        dataset = synth_blobs(**SYNTH["synth"])
+        prop = robustness_queries(dataset, dataset.test, [3], 0.05, "")[0]
+        assert json.loads(out.read_text())["stats"]["root_unstable"] == \
+            root_unstable_count(load_model(trained_model), prop.input_box)
+
     def test_ibp_engine(self, trained_model, train_cfg, capsys):
         assert main(["verify", "--model", trained_model, "--robustness",
                      "--config", train_cfg, "--sample-index", "0",
@@ -237,6 +265,17 @@ class TestExperimentCommand:
         out = tmp_path / "results.json"
         assert main(["experiment", "--config", cfg, "--out", str(out)]) == 3
         assert f"{section}: ratio must lie in [0, 1)" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_sample_count_exits_three(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "experiment.json", {
+            "dataset": SYNTH, "hidden": [4],
+            "baseline_train": {"epochs": 1}, "sparse_train": {"epochs": 1},
+            "queries": {"count": 2}, "verify": {"sample_count": 2.5}})
+        out = tmp_path / "results.json"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 3
+        assert "verify: sample_count must be an integer, got 2.5" in \
             capsys.readouterr().err
         assert not out.exists()
 

@@ -1,7 +1,9 @@
 import pytest
 
+import relukit.experiment
 from relukit.config import ConfigError
 from relukit.experiment import run_experiment
+from relukit.verifier import root_unstable_count
 
 
 def small_config():
@@ -64,3 +66,40 @@ class TestRunExperiment:
         cfg["basline_train"] = {}
         with pytest.raises(ConfigError):
             run_experiment(cfg)
+
+
+def test_root_unstable_is_root_unstable_count(monkeypatch):
+    # Acceptance criterion 9's config. The experiment reads root_unstable
+    # from verify_bab's stats; the count it replaced must agree on every
+    # query of every variant.
+    config = {
+        "seed": 0,
+        "dataset": {"synth": {"seed": 0, "n_per_class": 60, "num_classes": 3,
+                              "dim": 4, "spread": 0.08}},
+        "hidden": [16, 16, 16],
+        "baseline_train": {"epochs": 40, "batch_size": 16,
+                           "learning_rate": 0.01, "seed": 0},
+        "sparse_train": {"epochs": 40, "batch_size": 16,
+                         "learning_rate": 0.01, "seed": 0,
+                         "slim_lambda": 0.01},
+        "fine_tune": {"epochs": 15, "batch_size": 16,
+                      "learning_rate": 0.01, "seed": 0},
+        "ns": {"ratio": 0.5},
+        "wp": {"ratio": 0.5},
+        "queries": {"count": 20, "epsilon": 0.02},
+        "verify": {"time_budget": 60.0},
+    }
+    counts = []
+    inner = relukit.experiment.verify_bab
+
+    def counting(net, prop, cfg):
+        counts.append(root_unstable_count(net, prop.input_box))
+        return inner(net, prop, cfg)
+
+    monkeypatch.setattr(relukit.experiment, "verify_bab", counting)
+    results = run_experiment(config)
+    got = [r["root_unstable"] for row in results["table"]
+           for r in results["instances"][row["variant"]]]
+    assert len(got) == 80
+    assert got == counts
+    assert any(counts)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import random_net
-from oracles import finite_diff_grads
+import relukit.training
+from oracles import finite_diff_grads, reference_train
 from relukit.datasets import Dataset, Sample, synth_blobs
 from relukit.network import BatchNorm1DNode, FullyConnectedNode, forward_batch
+from relukit.pruning import network_slim, weight_prune
 from relukit.training import (AdamState, TrainingConfig, adam_step, evaluate,
                               init_network, loss_and_grads, train)
 from relukit.training import _assign_params, _collect_params, _forward_train
@@ -137,6 +139,34 @@ class TestAdamStep:
         assert new["a"][0] != 1.0 and new["b"][0] == 1.0
         assert state.t == 1
 
+    def test_updates_params_and_moments_in_place_and_reads_grads(self):
+        # The docstring's contract: params and moments are overwritten in
+        # place with the allocating update's exact values; grads stay.
+        rng = np.random.default_rng(8)
+        cfg = TrainingConfig(learning_rate=0.01, beta1=0.8, beta2=0.99,
+                             adam_eps=1e-6)
+        theta = rng.normal(size=(3, 4))
+        params, state = {"w": theta}, AdamState()
+        expect, m, v = theta.copy(), np.zeros((3, 4)), np.zeros((3, 4))
+        for t in (1, 2, 3):
+            g = rng.normal(size=(3, 4))
+            g_before = g.copy()
+            new, out_state = adam_step(params, {"w": g}, state, cfg)
+            assert new is params and out_state is state
+            assert params["w"] is theta
+            if t > 1:
+                assert state.m["w"] is m_obj and state.v["w"] is v_obj
+            m_obj, v_obj = state.m["w"], state.v["w"]
+            m = cfg.beta1 * m + (1 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
+            expect = expect - cfg.learning_rate * (m / (1 - cfg.beta1 ** t)) / (
+                np.sqrt(v / (1 - cfg.beta2 ** t)) + cfg.adam_eps)
+            assert np.array_equal(g, g_before)
+            assert np.array_equal(state.m["w"], m)
+            assert np.array_equal(state.v["w"], v)
+            assert np.array_equal(theta, expect)
+            assert state.t == t
+
 
 class TestTrain:
     def test_zero_epochs_is_identity(self):
@@ -197,6 +227,98 @@ class TestTrain:
             return np.mean([np.abs(node.gamma).mean() for node in n.nodes
                             if isinstance(node, BatchNorm1DNode)])
         assert mean_gamma(sparse_net) <= mean_gamma(dense_net)
+
+
+def _train_case(with_bn, **overrides):
+    """A 3-hidden-layer net and a 36-sample training split."""
+    ds = synth_blobs(6, 15, 3, 5, 0.2)
+    net = random_net([5, 9, 7, 6, 3], seed=11, with_bn=with_bn)
+    cfg = dict(epochs=4, batch_size=8, learning_rate=0.02, seed=4)
+    cfg.update(overrides)
+    return net, ds, TrainingConfig(**cfg)
+
+
+class TestTrainMatchesReference:
+    """train against tests/oracles.reference_train, the training loop as
+    first written: every parameter, running statistic and per-epoch metric
+    must be equal, not close."""
+
+    @pytest.mark.parametrize("with_bn, overrides", [
+        (True, {}),
+        (False, {}),
+        (False, {"l2_lambda": 0.3}),
+        (True, {"l2_lambda": 0.1, "slim_lambda": 0.05}),
+        (True, {"slim_lambda": 0.2, "bn_momentum": 0.5}),
+        # 36 samples in batches of 7: a trailing singleton merged back
+        (True, {"batch_size": 7, "l2_lambda": 0.05}),
+        (False, {"batch_size": 7}),
+        # one batch larger than the split
+        (True, {"batch_size": 64, "slim_lambda": 0.01}),
+    ])
+    def test_bit_identical(self, with_bn, overrides):
+        net, ds, cfg = _train_case(with_bn, **overrides)
+        got, got_metrics = train(net, ds, cfg)
+        ref, ref_metrics = reference_train(net, ds, cfg)
+        assert got_metrics == ref_metrics
+        assert len(got.nodes) == len(ref.nodes)
+        for a, b in zip(got.nodes, ref.nodes):
+            assert type(a) is type(b)
+            if isinstance(a, FullyConnectedNode):
+                assert np.array_equal(a.weights, b.weights)
+                assert np.array_equal(a.bias, b.bias)
+            elif isinstance(a, BatchNorm1DNode):
+                for name in ("gamma", "beta", "running_mean", "running_var"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+class TestTrainAliasing:
+    def test_outputs_share_no_memory(self):
+        net, ds, cfg = _train_case(True)
+        before = net.copy()
+        a, _ = train(net, ds, cfg)
+        b, _ = train(net, ds, cfg)
+        wp = weight_prune(a, ratio=0.5)
+        ns = network_slim(a, 0.5)
+        b_ref, wp_ref, ns_ref = b.copy(), wp.copy(), ns.copy()
+        for arr in _collect_params(a).values():
+            arr += 1.0
+        for p in _collect_params(wp).values():
+            p *= 3.0
+        for out, ref in ((net, before), (b, b_ref), (ns, ns_ref)):
+            for pa, pb in zip(_collect_params(out).values(),
+                              _collect_params(ref).values()):
+                assert np.array_equal(pa, pb)
+        for pa, pb in zip(_collect_params(wp).values(),
+                          _collect_params(wp_ref).values()):
+            assert np.array_equal(pa, 3.0 * pb)
+        # a's own arrays were each moved by exactly 1, no more
+        a2, _ = train(net, ds, cfg)
+        for pa, pb in zip(_collect_params(a).values(),
+                          _collect_params(a2).values()):
+            assert np.array_equal(pa, pb + 1.0)
+
+    @pytest.mark.parametrize("batch_size, batches_per_epoch", [
+        (8, 5), (7, 5), (64, 1)])
+    def test_one_gradient_and_one_adam_call_per_batch(
+            self, monkeypatch, batch_size, batches_per_epoch):
+        # The benchmark times steps and spans through these module globals.
+        calls = {"loss_and_grads": 0, "adam_step": 0}
+
+        def counting(name):
+            inner = getattr(relukit.training, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(relukit.training, name, wrapper)
+
+        counting("loss_and_grads")
+        counting("adam_step")
+        net, ds, cfg = _train_case(True, batch_size=batch_size, epochs=3)
+        assert len(ds.train) == 36
+        train(net, ds, cfg)
+        assert calls == {"loss_and_grads": 3 * batches_per_epoch,
+                         "adam_step": 3 * batches_per_epoch}
 
 
 class TestEvaluate:
