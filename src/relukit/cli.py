@@ -17,6 +17,7 @@ from .network import network_stats
 from .properties import emit_smtlib, parse_smtlib
 from .pruning import PruningConfig, prune_pipeline
 from .repair import RepairConfig, repair
+from .tensor import as_int
 from .training import evaluate, init_network, train
 from .verifier import (LPUndecidedError, SpuriousWitnessError, Status,
                        verify_bab, verify_ibp)
@@ -63,9 +64,11 @@ def cmd_train(args) -> int:
     if "model" in net_spec:
         net = load_model(net_spec["model"])
     else:
-        hidden = [int(h) for h in net_spec.get("hidden", [16])]
+        hidden = [as_int(h, "config.net.hidden")
+                  for h in net_spec.get("hidden", [16])]
         widths = [dataset.input_dim] + hidden + [dataset.num_classes]
-        net = init_network(widths, seed=int(net_spec.get("init_seed", 0)),
+        net = init_network(widths, seed=as_int(net_spec.get("init_seed", 0),
+                                               "config.net.init_seed"),
                            with_bn=bool(net_spec.get("with_bn", True)),
                            name=str(net_spec.get("name", "net")))
     train_cfg = training_config_from(
@@ -158,11 +161,11 @@ def cmd_repair(args) -> int:
     validate_keys(queries_spec, ("count", "indices", "epsilon", "split"),
                   "config.queries")
     if "indices" in queries_spec:
-        indices = [int(i) for i in queries_spec["indices"]]
         context = "config.queries.indices"
+        indices = [as_int(i, context) for i in queries_spec["indices"]]
     else:
-        indices = range(int(queries_spec.get("count", 1)))
         context = "config.queries.count"
+        indices = range(as_int(queries_spec.get("count", 1), context))
     split = (dataset.train if queries_spec.get("split") == "train"
              else dataset.test)
     properties = robustness_queries(dataset, split, indices,

@@ -7,6 +7,7 @@ loudly before any work starts.
 import dataclasses
 
 from .datasets import Dataset, load_idx_dataset, synth_blobs
+from .tensor import as_int
 from .training import TrainingConfig
 from .verifier import BabConfig
 
@@ -66,7 +67,8 @@ def dataset_from(obj: dict, context: str = "dataset") -> Dataset:
         raise ConfigError(f"{context}.idx: missing keys {sorted(missing)}")
     ds = load_idx_dataset(spec["train_images"], spec["train_labels"],
                           spec["test_images"], spec["test_labels"])
-    declared = (int(spec["input_dim"]), int(spec["num_classes"]))
+    declared = tuple(as_int(spec[key], f"{context}.idx.{key}")
+                     for key in ("input_dim", "num_classes"))
     if declared != (ds.input_dim, ds.num_classes):
         raise ConfigError(f"{context}.idx: declared (input_dim, num_classes) "
                           f"{declared} != {(ds.input_dim, ds.num_classes)} "

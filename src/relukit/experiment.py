@@ -16,6 +16,7 @@ from .config import (ConfigError, bab_config_from, dataset_from,
 from .network import network_stats
 from .properties import Box, robustness_property
 from .pruning import PruningConfig, network_slim, weight_prune
+from .tensor import as_int
 from .training import evaluate, init_network, train
 from .verifier import Status, verify_bab
 
@@ -45,7 +46,7 @@ def robustness_queries(dataset, samples, indices, epsilon, context):
 
 def _queries_from(obj, dataset):
     validate_keys(obj, ("count", "epsilon"), "queries")
-    count = int(obj.get("count", 20))
+    count = as_int(obj.get("count", 20), "queries.count")
     epsilon = float(obj.get("epsilon", 0.02))
     return robustness_queries(dataset, dataset.test, range(count), epsilon,
                               "queries.count")
@@ -93,9 +94,9 @@ def run_experiment(config: dict) -> dict:
     for key in ("dataset", "hidden", "baseline_train", "sparse_train"):
         if key not in config:
             raise ConfigError(f"experiment config: missing '{key}'")
-    seed = int(config.get("seed", 0))
+    seed = as_int(config.get("seed", 0), "seed")
     dataset = dataset_from(config["dataset"])
-    hidden = [int(h) for h in config["hidden"]]
+    hidden = [as_int(h, "hidden") for h in config["hidden"]]
     widths = [dataset.input_dim] + hidden + [dataset.num_classes]
 
     base_cfg = training_config_from(config["baseline_train"], "baseline_train")

@@ -6,6 +6,7 @@ fully-connected output layer (no activation after it).
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -110,6 +111,31 @@ def _node_dims(node: LayerNode) -> tuple[int, int]:
     return node.dim, node.dim
 
 
+_BN_PARAMS = ("gamma", "beta", "running_mean", "running_var")
+
+
+def _params(node: LayerNode) -> tuple:
+    if isinstance(node, FullyConnectedNode):
+        return node.weights, node.bias
+    if isinstance(node, BatchNorm1DNode):  # in _BN_PARAMS order
+        return node.gamma, node.beta, node.running_mean, node.running_var
+    return ()
+
+
+def _param_flags(arrays: list) -> tuple[list, list]:
+    """Per array, whether all of it is finite and whether any of it is
+    negative, from one pass over the arrays joined."""
+    sizes = [a.size for a in arrays]
+    starts = list(accumulate(sizes[:-1], initial=0))
+    # the trailing 0 keeps every start in range; reduceat reads an empty
+    # segment as the element at its start, so empty arrays are set apart
+    flat = np.concatenate([*arrays, np.zeros(1)], axis=None)
+    finite = np.logical_and.reduceat(np.isfinite(flat), starts).tolist()
+    negative = np.logical_or.reduceat(flat < 0.0, starts).tolist()
+    return ([f or not n for f, n in zip(finite, sizes)],
+            [g and n > 0 for g, n in zip(negative, sizes)])
+
+
 def validate(net: SequentialNetwork) -> list[str]:
     """Return a list of structural problems; empty means the network is ok."""
     errors: list[str] = []
@@ -119,27 +145,28 @@ def validate(net: SequentialNetwork) -> list[str]:
         errors.append("network has no nodes")
         return errors
 
-    cur = net.input_dim
+    params = [_params(node) for node in net.nodes]
+    finite, negative = _param_flags([a for p in params for a in p])
+    cur, k = net.input_dim, 0
     for i, node in enumerate(net.nodes):
         d_in, d_out = _node_dims(node)
         if d_in != cur:
             errors.append(f"dim mismatch at node {i}: expected input {cur}, got {d_in}")
         cur = d_out
         if isinstance(node, FullyConnectedNode):
-            if not np.isfinite(node.weights).all() or not np.isfinite(node.bias).all():
+            if not (finite[k] and finite[k + 1]):
                 errors.append(f"non-finite parameters at node {i}")
         elif isinstance(node, BatchNorm1DNode):
-            for name, v in (("gamma", node.gamma), ("beta", node.beta),
-                            ("running_mean", node.running_mean),
-                            ("running_var", node.running_var)):
+            for j, (name, v) in enumerate(zip(_BN_PARAMS, params[i])):
                 if v.shape[0] != node.dim:
                     errors.append(f"{name} length {v.shape[0]} != dim {node.dim} at node {i}")
-                if not np.isfinite(v).all():
+                if not finite[k + j]:
                     errors.append(f"non-finite {name} at node {i}")
-            if (node.running_var < 0).any():
+            if negative[k + 3]:  # running_var
                 errors.append(f"negative running_var at node {i}")
             if node.eps <= 0:
                 errors.append(f"eps must be positive at node {i}")
+        k += len(params[i])
 
     # Canonical block pattern: (FC [BN] ReLU)* FC
     i, n = 0, len(net.nodes)
@@ -187,7 +214,9 @@ def forward_batch(net: SequentialNetwork, xs: np.ndarray) -> np.ndarray:
     norm uses running statistics.
 
     Every node's output is checked for NaN/Inf, not just the result: a ReLU
-    would hide a -inf pre-activation.
+    would hide a -inf pre-activation. A ReLU's own output is checked only
+    when it is the first node; otherwise its input, checked above, was
+    finite, and so is its output.
     """
     h = np.asarray(xs, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != net.input_dim:
@@ -201,6 +230,8 @@ def forward_batch(net: SequentialNetwork, xs: np.ndarray) -> np.ndarray:
             h = node.scale() * (h - node.running_mean) + node.beta
         else:
             h = np.maximum(0.0, h)
+            if i:
+                continue
         check_finite(h, f"output of node {i}")
     return h
 

@@ -14,6 +14,7 @@ __all__ = [
     "as_vector",
     "as_matrix",
     "check_finite",
+    "as_int",
     "require_int",
 ]
 
@@ -46,10 +47,16 @@ def check_finite(arr: np.ndarray, context: str = "result") -> np.ndarray:
     return arr
 
 
+def as_int(value, name: str) -> int:
+    """value as an int; ValueError naming `name` when it is not an integer.
+    A bool is not one; a numpy integer is."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def require_int(owner, *names) -> None:
     """Raise ValueError naming the first field of `owner` in `names` whose
-    value is not an integer; a bool is not one."""
+    value is not an integer (see as_int)."""
     for name in names:
-        value = getattr(owner, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        as_int(getattr(owner, name), name)

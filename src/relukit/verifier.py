@@ -166,13 +166,24 @@ def _back_substitute(coeffs, const, fcs, relaxations, box: Box):
     return _box_min(coeffs, box.lo, box.hi) + const
 
 
-def _bound(net: SequentialNetwork, box: Box, violation=()):
+def _compile(violation):
+    """The atoms of a violation as (rows, rhs, starts): row k and rhs[k] are
+    atom k's coeffs and rhs, atoms numbered disjunct by disjunct, and
+    starts[j] is the index of disjunct j's first atom. Every disjunct needs
+    an atom (Property requires it), since reduceat reads an empty segment as
+    the element at its start."""
+    rows = np.array([a.coeffs for d in violation for a in d])
+    rhs = np.array([a.rhs for d in violation for a in d])
+    return rows, rhs, np.cumsum([0] + [len(d) for d in violation[:-1]])
+
+
+def _bound(net: SequentialNetwork, box: Box, compiled=None):
     """The bounding step over a folded network, shared by every engine.
 
     Returns (pre_lo, pre_hi, unstable, alive): bounds of every hidden
     pre-activation as two flat vectors (empty without a hidden layer), the
     number of hidden ReLUs whose bounds straddle 0, and the indices of the
-    violation disjuncts not refuted.
+    disjuncts of the violation, compiled by _compile, not refuted.
 
     Layer by layer, a hidden layer's bounds are the elementwise tighter of
     its interval step from the previous layer's bounds and the back-
@@ -181,38 +192,39 @@ def _bound(net: SequentialNetwork, box: Box, violation=()):
     than interval_forward's. A disjunct is refuted when one of its atoms
     coeffs @ y <= rhs is: its closed-form minimum over the output's interval
     step, or the back-substituted lower bound of coeffs @ y itself, exceeds
-    rhs. One backward pass serves every atom.
+    rhs. The interval test runs first; one backward pass of every atom runs
+    only when it leaves a disjunct open. Without a violation, the last
+    hidden layer's relaxation, which only that pass reads, is skipped.
     """
     fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
     relaxations, pre_lo, pre_hi = [], [np.zeros(0)], [np.zeros(0)]
     lo, hi = box.lo, box.hi
-    for node in fcs[:-1]:
+    for i, node in enumerate(fcs[:-1]):
         lo, hi = _interval_fc(node, lo, hi)
         if relaxations:
             w, b, n = node.weights, node.bias, node.out_dim
-            back = _back_substitute(np.vstack([w, -w]),
+            back = _back_substitute(np.concatenate([w, -w]),
                                     np.concatenate([b, -b]), fcs,
                                     relaxations, box)
             lo, hi = np.maximum(lo, back[:n]), np.minimum(hi, -back[n:])
         pre_lo.append(lo)
         pre_hi.append(hi)
+        if compiled is None and i == len(fcs) - 2:
+            break
         relaxations.append(_relu_relaxation(lo, hi))
         lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
     pre_lo, pre_hi = np.concatenate(pre_lo), np.concatenate(pre_hi)
-    unstable = int(np.sum((pre_lo < 0.0) & (pre_hi > 0.0)))
-    if not violation:
+    unstable = int(np.count_nonzero((pre_lo < 0.0) & (pre_hi > 0.0)))
+    if compiled is None:
         return pre_lo, pre_hi, unstable, []
+    rows, rhs, starts = compiled
     out = fcs[-1]
-    out_lo, out_hi = _interval_fc(out, lo, hi)
-    rows = np.stack([a.coeffs for d in violation for a in d])
-    rhs = np.array([a.rhs for d in violation for a in d])
-    refuted = ((_box_min(rows, out_lo, out_hi) > rhs)
-               | (_back_substitute(rows @ out.weights, rows @ out.bias, fcs,
-                                   relaxations, box) > rhs))
-    ends = np.cumsum([len(d) for d in violation])
-    alive = [j for j, part in enumerate(np.split(refuted, ends[:-1]))
-             if not part.any()]
-    return pre_lo, pre_hi, unstable, alive
+    refuted = _box_min(rows, *_interval_fc(out, lo, hi)) > rhs
+    if not np.logical_or.reduceat(refuted, starts).all():
+        refuted |= _back_substitute(rows @ out.weights, rows @ out.bias, fcs,
+                                    relaxations, box) > rhs
+    return (pre_lo, pre_hi, unstable,
+            np.flatnonzero(~np.logical_or.reduceat(refuted, starts)).tolist())
 
 
 def _validated_cex(net, prop, x) -> Optional[Counterexample]:
@@ -224,20 +236,18 @@ def _validated_cex(net, prop, x) -> Optional[Counterexample]:
 
 
 def _sample_points(box: Box, count: int, rng) -> np.ndarray:
-    return np.vstack([box.center()[None, :],
-                      rng.uniform(box.lo, box.hi, size=(count, box.dim))])
+    return np.concatenate([box.center()[None, :],
+                           rng.uniform(box.lo, box.hi, size=(count, box.dim))])
 
 
-def _falsify(net, folded, prop, points) -> Optional[Counterexample]:
+def _falsify(net, folded, prop, compiled, points) -> Optional[Counterexample]:
     """The first point, in point-major order, whose output on `folded`
-    satisfies a violation disjunct, re-validated on `net`; None when no point
-    does or the first one fails re-validation."""
-    ys = forward_batch(folded, points)
-    hit = np.zeros(points.shape[0], dtype=bool)
-    for disjunct in prop.violation:
-        coeffs = np.stack([a.coeffs for a in disjunct])
-        rhs = np.array([a.rhs for a in disjunct])
-        hit |= (ys @ coeffs.T <= rhs).all(axis=1)
+    satisfies a violation disjunct (all of its atoms, from `compiled`, the
+    violation as _compile gives it), re-validated on `net`; None when no
+    point does or the first one fails re-validation."""
+    rows, rhs, starts = compiled
+    sat = forward_batch(folded, points) @ rows.T <= rhs
+    hit = np.logical_and.reduceat(sat, starts, axis=1).any(axis=1)
     first = np.flatnonzero(hit)
     return _validated_cex(net, prop, points[first[0]]) if first.size else None
 
@@ -512,10 +522,11 @@ def verify_bab(net: SequentialNetwork, prop: Property,
         config = BabConfig()
     start = time.monotonic()
     folded = _folded(net)
-    rng = np.random.default_rng(config.seed)
+    compiled = _compile(prop.violation)
+    rng = None  # created by the first node that samples
     counters = {"lp_calls": 0, "enum_leaves": 0, "enum_pruned": 0}
     worklist = [prop.input_box]
-    bounds = _bound(folded, prop.input_box, prop.violation)
+    bounds = _bound(folded, prop.input_box, compiled)
     root_unstable = bounds[2]
     nodes = 0
     undecided = 0
@@ -534,14 +545,16 @@ def verify_bab(net: SequentialNetwork, prop: Property,
             return result(Status.UNKNOWN, reason="time budget exhausted")
         box = worklist.pop()
         if nodes:  # the root's bounds are already in hand
-            bounds = _bound(folded, box, prop.violation)
+            bounds = _bound(folded, box, compiled)
         nodes += 1
 
         los, his, free, alive = bounds
         if not alive:
             continue
 
-        cex = _falsify(net, folded, prop,
+        if rng is None:
+            rng = np.random.default_rng(config.seed)
+        cex = _falsify(net, folded, prop, compiled,
                        _sample_points(box, config.sample_count, rng))
         if cex is not None:
             return result(Status.FALSIFIED, cex)
@@ -592,7 +605,8 @@ def falsify_sample(net: SequentialNetwork, prop: Property, n_samples: int,
         points.append(rng.uniform(box.lo, box.hi, size=(n_samples, box.dim)))
     if not points:
         return None
-    return _falsify(net, _folded(net), prop, np.vstack(points))
+    return _falsify(net, _folded(net), prop, _compile(prop.violation),
+                    np.concatenate(points))
 
 
 def root_unstable_count(net: SequentialNetwork, box: Box) -> int:

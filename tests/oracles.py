@@ -287,3 +287,137 @@ def reference_train(net, dataset, config):
             "test_accuracy": test_acc,
         })
     return net, metrics
+
+
+def reference_bound(net, box, violation=()):
+    """verifier._bound as it was before the violation was compiled, kept as
+    the reference the bounding step must match bit for bit: the output's
+    back-substitution runs on every call with a violation, the atoms are
+    stacked and the disjuncts split on every call, and the last hidden
+    layer's relaxation is always made. `violation` is a list of disjuncts of
+    LinearAtoms. Returns (pre_lo, pre_hi, unstable, alive) like _bound."""
+    from relukit.network import FullyConnectedNode
+
+    def interval_fc(node, lo, hi):
+        w_pos = np.maximum(node.weights, 0.0)
+        w_neg = np.minimum(node.weights, 0.0)
+        return (w_pos @ lo + w_neg @ hi + node.bias,
+                w_pos @ hi + w_neg @ lo + node.bias)
+
+    def box_min(coeffs, lo, hi):
+        return np.maximum(coeffs, 0.0) @ lo + np.minimum(coeffs, 0.0) @ hi
+
+    def relu_relaxation(lo, hi):
+        unstable = (lo < 0.0) & (hi > 0.0)
+        active = lo >= 0.0
+        upper = np.where(unstable, hi / np.where(unstable, hi - lo, 1.0),
+                         active)
+        lower = np.where(unstable, hi > -lo, active).astype(np.float64)
+        return lower, upper, np.where(unstable, -upper * lo, 0.0)
+
+    def back_substitute(coeffs, const, fcs, relaxations):
+        for node, (lower, upper, shift) in zip(
+                reversed(fcs[:len(relaxations)]), reversed(relaxations)):
+            neg = np.minimum(coeffs, 0.0)
+            const = const + neg @ shift
+            coeffs = np.maximum(coeffs, 0.0) * lower + neg * upper
+            const = const + coeffs @ node.bias
+            coeffs = coeffs @ node.weights
+        return box_min(coeffs, box.lo, box.hi) + const
+
+    fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
+    relaxations, pre_lo, pre_hi = [], [np.zeros(0)], [np.zeros(0)]
+    lo, hi = box.lo, box.hi
+    for node in fcs[:-1]:
+        lo, hi = interval_fc(node, lo, hi)
+        if relaxations:
+            w, b, n = node.weights, node.bias, node.out_dim
+            back = back_substitute(np.vstack([w, -w]), np.concatenate([b, -b]),
+                                   fcs, relaxations)
+            lo, hi = np.maximum(lo, back[:n]), np.minimum(hi, -back[n:])
+        pre_lo.append(lo)
+        pre_hi.append(hi)
+        relaxations.append(relu_relaxation(lo, hi))
+        lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
+    pre_lo, pre_hi = np.concatenate(pre_lo), np.concatenate(pre_hi)
+    unstable = int(np.sum((pre_lo < 0.0) & (pre_hi > 0.0)))
+    if not violation:
+        return pre_lo, pre_hi, unstable, []
+    out = fcs[-1]
+    out_lo, out_hi = interval_fc(out, lo, hi)
+    rows = np.stack([a.coeffs for d in violation for a in d])
+    rhs = np.array([a.rhs for d in violation for a in d])
+    refuted = ((box_min(rows, out_lo, out_hi) > rhs)
+               | (back_substitute(rows @ out.weights, rows @ out.bias, fcs,
+                                  relaxations) > rhs))
+    ends = np.cumsum([len(d) for d in violation])
+    alive = [j for j, part in enumerate(np.split(refuted, ends[:-1]))
+             if not part.any()]
+    return pre_lo, pre_hi, unstable, alive
+
+
+def reference_validate(net):
+    """network.validate as it was before its finiteness checks were joined
+    into one pass, kept as the reference for its error list: one isfinite
+    per parameter array, node by node."""
+    from relukit.network import BatchNorm1DNode, FullyConnectedNode, ReLUNode
+
+    errors = []
+    if net.input_dim <= 0:
+        errors.append(f"input_dim must be positive, got {net.input_dim}")
+    if not net.nodes:
+        errors.append("network has no nodes")
+        return errors
+
+    cur = net.input_dim
+    for i, node in enumerate(net.nodes):
+        if isinstance(node, FullyConnectedNode):
+            d_in, d_out = node.in_dim, node.out_dim
+        else:
+            d_in, d_out = node.dim, node.dim
+        if d_in != cur:
+            errors.append(f"dim mismatch at node {i}: expected input {cur}, "
+                          f"got {d_in}")
+        cur = d_out
+        if isinstance(node, FullyConnectedNode):
+            if (not np.isfinite(node.weights).all()
+                    or not np.isfinite(node.bias).all()):
+                errors.append(f"non-finite parameters at node {i}")
+        elif isinstance(node, BatchNorm1DNode):
+            for name, v in (("gamma", node.gamma), ("beta", node.beta),
+                            ("running_mean", node.running_mean),
+                            ("running_var", node.running_var)):
+                if v.shape[0] != node.dim:
+                    errors.append(f"{name} length {v.shape[0]} != dim "
+                                  f"{node.dim} at node {i}")
+                if not np.isfinite(v).all():
+                    errors.append(f"non-finite {name} at node {i}")
+            if (node.running_var < 0).any():
+                errors.append(f"negative running_var at node {i}")
+            if node.eps <= 0:
+                errors.append(f"eps must be positive at node {i}")
+
+    i, n = 0, len(net.nodes)
+    while i < n:
+        node = net.nodes[i]
+        if not isinstance(node, FullyConnectedNode):
+            errors.append(f"canonical-form error at node {i}: expected "
+                          f"fully-connected, got {type(node).__name__}")
+            break
+        if i == n - 1:
+            break
+        i += 1
+        if isinstance(net.nodes[i], BatchNorm1DNode):
+            i += 1
+        if i >= n or not isinstance(net.nodes[i], ReLUNode):
+            got = type(net.nodes[i]).__name__ if i < n else "end of network"
+            errors.append(f"canonical-form error at node "
+                          f"{i if i < n else n - 1}: hidden block must end "
+                          f"with ReLU, got {got}")
+            break
+        i += 1
+        if i >= n:
+            errors.append(f"canonical-form error at node {n - 1}: "
+                          "network must end with a fully-connected layer")
+            break
+    return errors

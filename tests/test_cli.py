@@ -96,6 +96,21 @@ class TestTrain:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("field,value,shown", [
+        ("hidden", [4.7], 4.7), ("hidden", [True], True),
+        ("init_seed", 1.9, 1.9)],
+        ids=["hidden", "hidden-bool", "init_seed"])
+    def test_non_integer_net_field_exits_three(self, tmp_path, field, value,
+                                               shown, capsys):
+        cfg = write_json(tmp_path / "train.json", {
+            "dataset": SYNTH, "net": {"hidden": [4], field: value},
+            "train": {"epochs": 1}})
+        out = tmp_path / "m.json"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 3
+        assert (f"config.net.{field} must be an integer, got {shown!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestPrune:
     def test_wp_zero_threshold_identity(self, tmp_path, trained_model):
@@ -252,6 +267,22 @@ class TestRepairCommand:
                      "--out", str(tmp_path / "repaired.json")]) == 3
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec,shown", [
+        ({"count": 2.5}, "config.queries.count must be an integer, got 2.5"),
+        ({"indices": [0, 1.5]},
+         "config.queries.indices must be an integer, got 1.5")],
+        ids=["count", "indices"])
+    def test_non_integer_query_selection_exits_three(
+            self, tmp_path, trained_model, spec, shown, capsys):
+        cfg = write_json(tmp_path / "repair.json", {
+            "dataset": SYNTH, "queries": spec,
+            "repair": {"max_iterations": 1}})
+        out = tmp_path / "repaired.json"
+        assert main(["repair", "--model", trained_model, "--config", cfg,
+                     "--out", str(out)]) == 3
+        assert shown in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExperimentCommand:
     @pytest.mark.parametrize("section,ratio", [("wp", 1.0), ("wp", -0.5),
@@ -277,6 +308,23 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", cfg, "--out", str(out)]) == 3
         assert "verify: sample_count must be an integer, got 2.5" in \
             capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override,shown", [
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"queries": {"count": 2.5}},
+         "queries.count must be an integer, got 2.5"),
+        ({"hidden": [4.7]}, "hidden must be an integer, got 4.7")],
+        ids=["seed", "queries.count", "hidden"])
+    def test_non_integer_field_exits_three(self, tmp_path, override, shown,
+                                           capsys):
+        cfg = write_json(tmp_path / "experiment.json", {
+            "dataset": SYNTH, "hidden": [4],
+            "baseline_train": {"epochs": 1}, "sparse_train": {"epochs": 1},
+            "queries": {"count": 2}, **override})
+        out = tmp_path / "results.json"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 3
+        assert shown in capsys.readouterr().err
         assert not out.exists()
 
 

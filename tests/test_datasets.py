@@ -121,6 +121,15 @@ class TestIdxConfig:
         with pytest.raises(ConfigError, match="read from the files"):
             dataset_from(self.spec(paths, **declared))
 
+    @pytest.mark.parametrize("key,value", [("input_dim", 1.9),
+                                           ("num_classes", 2.5),
+                                           ("num_classes", True)])
+    def test_declared_sizes_must_be_integers(self, tmp_path, key, value):
+        paths = write_pairs(tmp_path, np.zeros((1, 1, 1)))
+        with pytest.raises(ValueError, match=f"dataset.idx.{key} must be an "
+                           f"integer, got {value!r}"):
+            dataset_from(self.spec(paths, **{key: value}))
+
 
 class TestAddSamples:
     def test_add_to_empty(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_net
+from oracles import reference_validate
 from relukit.network import (BatchNorm1DNode, FullyConnectedNode, ReLUNode,
                              SequentialNetwork, fold_batchnorm, forward,
                              forward_batch, network_stats, validate)
@@ -57,6 +58,82 @@ class TestValidate:
         assert any("canonical" in e for e in validate(net))
 
 
+def broken_nets():
+    """(label, net) pairs, each net with one or more faults validate must
+    report, and a few sound nets."""
+    def net(with_bn=True, widths=(3, 4, 4, 2)):
+        return random_net(list(widths), seed=5, with_bn=with_bn)
+
+    def with_value(path, value, index=0, base=None):
+        out = base if base is not None else net()
+        node, name = path
+        getattr(out.nodes[node], name).flat[index] = value
+        return out
+
+    cases = [("sound", net()), ("sound without BN", net(with_bn=False))]
+    for bad in (np.nan, np.inf, -np.inf):
+        for path in ((0, "weights"), (0, "bias"), (1, "gamma"), (1, "beta"),
+                     (1, "running_mean"), (1, "running_var"), (6, "weights"),
+                     (6, "bias")):
+            cases.append((f"{bad} in node {path}", with_value(path, bad, 1)))
+    cases.append(("negative running_var", with_value((4, "running_var"),
+                                                     -0.5, 1)))
+    for eps in (0.0, -1e-5):
+        bad = net()
+        bad.nodes[4].eps = eps
+        cases.append((f"eps {eps}", bad))
+    for name in ("gamma", "beta", "running_mean", "running_var"):
+        bad = net()
+        setattr(bad.nodes[1], name, np.ones(3))
+        cases.append((f"{name} length", bad))
+    bad = net()
+    bad.nodes[1].gamma = np.ones(5)  # the node's dim follows gamma
+    cases.append(("BN dim", bad))
+    bad = net()
+    bad.nodes[3] = FullyConnectedNode(np.zeros((4, 5)), np.zeros(4))
+    cases.append(("FC in_dim", bad))
+    bad = net()
+    bad.input_dim = 0
+    cases.append(("input_dim", bad))
+    cases.append(("no nodes", SequentialNetwork("empty", 2, [])))
+    nodes = net().nodes
+    for label, seq in (("ends in ReLU", nodes[:3]), ("ends in BN", nodes[:2]),
+                       ("BN without ReLU", nodes[:2] + nodes[3:]),
+                       ("starts with ReLU", nodes[2:]),
+                       ("two ReLUs", nodes[:3] + nodes[2:]),
+                       ("no output FC", nodes[:6])):
+        cases.append((label, SequentialNetwork(label, 3, list(seq))))
+    # zero-width arrays, alone and next to a non-finite one: reduceat reads
+    # an empty segment as the element at its start
+    empty = SequentialNetwork("empty-layer", 3, [
+        FullyConnectedNode(np.zeros((0, 3)), np.zeros(0)),
+        BatchNorm1DNode(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0)),
+        ReLUNode(0),
+        FullyConnectedNode(np.zeros((2, 0)), np.array([np.nan, 1.0]))])
+    cases.append(("zero width", empty))
+    tail = net()
+    tail.nodes[6] = FullyConnectedNode(np.zeros((0, 4)), np.zeros(0))
+    tail.nodes[4].running_var[:] = -1.0
+    cases.append(("zero-width output after a fault", tail))
+    several = with_value((0, "bias"), np.nan)
+    with_value((1, "gamma"), np.inf, 1, several)
+    several.nodes[1].running_var = np.array([1.0, -2.0, np.nan])
+    several.nodes[1].eps = 0.0
+    with_value((6, "weights"), -np.inf, 0, several)
+    several.nodes.append(ReLUNode(2))
+    cases.append(("several faults", several))
+    return cases
+
+
+class TestValidateMatchesReference:
+    @pytest.mark.parametrize("label,net", broken_nets(),
+                             ids=[label for label, _ in broken_nets()])
+    def test_same_errors_in_the_same_order(self, label, net):
+        errors = validate(net)
+        assert errors == reference_validate(net)
+        assert bool(errors) == (not label.startswith("sound"))
+
+
 class TestForward:
     def test_single_fc_identity(self):
         net = SequentialNetwork("id", 1,
@@ -99,6 +176,22 @@ class TestForwardBatch:
             with pytest.raises(NonFiniteError, match="node 0"):
                 forward_batch(net, np.array([[0.5], [10.0]]))
             with pytest.raises(NonFiniteError):
+                forward(net, [10.0])
+            assert np.array_equal(forward_batch(net, [[0.5]]), [[0.0]])
+
+    def test_bn_overflow_before_relu_raises(self):
+        # the batch norm's output overflows to -inf, which the ReLU after it
+        # would turn into 0: the check after the batch norm must catch it
+        net = SequentialNetwork("bn-ovf", 1, [
+            FullyConnectedNode([[1.0]], [0.0]),
+            BatchNorm1DNode([-1e308], [0.0], [0.0], [1.0], 1e-5),
+            ReLUNode(1),
+            FullyConnectedNode([[1.0]], [0.0]),
+        ])
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError, match="node 1"):
+                forward_batch(net, np.array([[0.5], [10.0]]))
+            with pytest.raises(NonFiniteError, match="node 1"):
                 forward(net, [10.0])
             assert np.array_equal(forward_batch(net, [[0.5]]), [[0.0]])
 

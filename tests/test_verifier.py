@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_net
-from oracles import exact_pattern_verdict, fm_feasible
+from oracles import exact_pattern_verdict, fm_feasible, reference_bound
 from relukit import verifier
 from relukit.network import (FullyConnectedNode, ReLUNode, SequentialNetwork,
                              fold_batchnorm, forward, forward_batch)
@@ -156,7 +156,8 @@ class TestBound:
             ibp_refutes.append(True)
             sampled.append(False)
 
-            pre_lo, pre_hi, unstable, alive = verifier._bound(net, box, atoms)
+            pre_lo, pre_hi, unstable, alive = verifier._bound(
+                net, box, verifier._compile(atoms))
             pre = hidden_pre_activations(net, xs)
             assert np.all(pre >= pre_lo - TOL), trial
             assert np.all(pre <= pre_hi + TOL), trial
@@ -181,8 +182,96 @@ class TestBound:
             FullyConnectedNode([[1.0, -1.0]], [2.0])])
         box = Box([-1.0], [2.0])
         assert interval_forward(net, box)[-1][0] == pytest.approx([-2.0])
-        assert verifier._bound(net, box, violation([1.0], -0.25))[3] == []
-        assert verifier._bound(net, box, violation([1.0], 0.0))[3] == [0]
+        assert verifier._bound(
+            net, box, verifier._compile(violation([1.0], -0.25)))[3] == []
+        assert verifier._bound(
+            net, box, verifier._compile(violation([1.0], 0.0)))[3] == [0]
+
+
+class TestBoundMatchesReference:
+    """_bound equals oracles.reference_bound, the bounding step as it was
+    before the violation was compiled, bit for bit."""
+
+    @staticmethod
+    def violations(rng, net, box, last_lo, last_hi):
+        """(kind, violation) pairs of one- to three-atom disjuncts, "all",
+        "some" or "none" of them refuted by the interval test. An atom with
+        rhs below IBP's minimum of its function is refuted by that test; one
+        with rhs from the minimum over the output's interval step (from the
+        bounding step's last hidden bounds) up to a sampled value is not, but
+        may be by back-substitution; one above a sampled value is by
+        neither."""
+        fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
+        ys = forward_batch(net, rng.uniform(box.lo, box.hi,
+                                            size=(500, box.dim)))
+        ibp = interval_forward(net, box)[-1]
+        tight = (verifier._interval_fc(fcs[-1], np.maximum(last_lo, 0.0),
+                                       np.maximum(last_hi, 0.0))
+                 if len(fcs) > 1 else ibp)
+
+        def atom(how):
+            c = rng.normal(size=ys.shape[1])
+            ibp_min = float(verifier._box_min(c, *ibp))
+            tight_min = float(verifier._box_min(c, *tight))
+            seen = float((ys @ c).min())
+            rhs = {"closed": ibp_min - rng.uniform(0.01, 0.5),
+                   "open": seen + rng.uniform(1e-9, 0.5),
+                   "between": rng.uniform(tight_min, seen)}[how]
+            return LinearAtom(c, rhs)
+
+        def disjunct(closed):
+            atoms = [atom(rng.choice(["open", "between"]))
+                     for _ in range(rng.integers(0 if closed else 1, 3))]
+            if closed:
+                atoms.insert(rng.integers(0, len(atoms) + 1), atom("closed"))
+            return atoms
+
+        yield "all", [disjunct(True) for _ in range(4)]
+        yield "some", [disjunct(j % 2 == 0) for j in range(4)]
+        yield "none", [disjunct(False) for _ in range(4)]
+
+    def test_bit_identical(self, monkeypatch):
+        backs = []
+        back_substitute = verifier._back_substitute
+
+        def counted(*args):
+            backs.append(1)
+            return back_substitute(*args)
+
+        monkeypatch.setattr(verifier, "_back_substitute", counted)
+        rng = np.random.default_rng(21)
+        seen = {"all": 0, "some": 0, "none": 0}
+        narrowed = 0  # disjuncts refuted past the interval test
+        for widths in ((3, 2), (3, 5, 2), (3, 6, 5, 3), (2, 5, 4, 4, 3)):
+            hidden = len(widths) - 2
+            for seed in range(6):
+                net = fold_batchnorm(random_net(widths, seed=seed,
+                                                with_bn=seed % 2 == 0,
+                                                scale=1.5))
+                lo = rng.uniform(-1.0, 0.5, size=widths[0])
+                box = Box(lo, lo + rng.uniform(0.05, 1.0, size=widths[0]))
+                ref = reference_bound(net, box)
+                got = verifier._bound(net, box)
+                assert np.array_equal(got[0], ref[0])
+                assert np.array_equal(got[1], ref[1])
+                assert got[2:] == ref[2:] and got[3] == []
+                last = slice(ref[0].size - widths[-2], None)
+                for kind, viol in self.violations(rng, net, box,
+                                                  ref[0][last], ref[1][last]):
+                    backs.clear()
+                    ref = reference_bound(net, box, viol)
+                    got = verifier._bound(net, box, verifier._compile(viol))
+                    assert np.array_equal(got[0], ref[0]), (widths, seed)
+                    assert np.array_equal(got[1], ref[1]), (widths, seed)
+                    assert got[2] == ref[2] and got[3] == ref[3], \
+                        (widths, seed, kind)
+                    # the output's back-substitution runs only when the
+                    # interval test leaves a disjunct open
+                    assert len(backs) == max(hidden - 1, 0) + (kind != "all")
+                    seen[kind] += 1
+                    narrowed += {"all": 0, "some": 2, "none": 4}[kind] \
+                        - len(got[3])
+        assert min(seen.values()) > 0 and narrowed > 0
 
 
 class TestVerifyIbp:
@@ -209,7 +298,8 @@ class TestVerifyIbp:
             ReLUNode(2),
             FullyConnectedNode([[1.0, -1.0]], [0.0])])
         prop = Property(Box([-1.0], [1.0]), violation([1.0], -0.5), 1)
-        assert verifier._bound(net, prop.input_box, prop.violation)[3] == [0]
+        assert verifier._bound(net, prop.input_box,
+                               verifier._compile(prop.violation))[3] == [0]
         res = verify_ibp(net, prop)
         assert res.status == Status.UNKNOWN
         assert not exact_pattern_verdict(
@@ -622,8 +712,8 @@ class TestEnumDecide:
             for seed in range(48):
                 net, prop = tiny_instance(seed, widths)
                 box = prop.input_box
-                los, his, free, alive = verifier._bound(net, box,
-                                                        prop.violation)
+                los, his, free, alive = verifier._bound(
+                    net, box, verifier._compile(prop.violation))
                 if not alive:
                     continue
                 counters = {"lp_calls": 0, "enum_leaves": 0,
@@ -663,7 +753,8 @@ class TestFalsify:
             ref = next((i for i, x in enumerate(points)
                         if any(satisfies_disjunct(forward(net, x), d)
                                for d in prop.violation)), None)
-            cex = verifier._falsify(net, net, prop, points)
+            cex = verifier._falsify(net, net, prop,
+                                    verifier._compile(prop.violation), points)
             if ref is None:
                 assert cex is None
             else:
