@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .config import (ConfigError, bab_config_from, dataset_from,
+from .config import (ConfigError, bab_config_from, dataset_from, int_list,
                      training_config_from, validate_keys)
 from .experiment import robustness_queries, run_experiment
 from .model_io import atomic_write_text, load_model, save_model
@@ -64,8 +64,7 @@ def cmd_train(args) -> int:
     if "model" in net_spec:
         net = load_model(net_spec["model"])
     else:
-        hidden = [as_int(h, "config.net.hidden")
-                  for h in net_spec.get("hidden", [16])]
+        hidden = int_list(net_spec.get("hidden", [16]), "config.net.hidden")
         widths = [dataset.input_dim] + hidden + [dataset.num_classes]
         net = init_network(widths, seed=as_int(net_spec.get("init_seed", 0),
                                                "config.net.init_seed"),
@@ -162,7 +161,7 @@ def cmd_repair(args) -> int:
                   "config.queries")
     if "indices" in queries_spec:
         context = "config.queries.indices"
-        indices = [as_int(i, context) for i in queries_spec["indices"]]
+        indices = int_list(queries_spec["indices"], context)
     else:
         context = "config.queries.count"
         indices = range(as_int(queries_spec.get("count", 1), context))

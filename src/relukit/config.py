@@ -27,6 +27,14 @@ def validate_keys(obj: dict, allowed, context: str) -> None:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
 
 
+def int_list(value, name: str) -> list:
+    """value, a JSON array, as a list of ints; ConfigError naming `name` when
+    it is not an array, as_int's ValueError when an element is no integer."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of integers, got {value!r}")
+    return [as_int(v, name) for v in value]
+
+
 def _from_fields(cls, obj: dict, context: str):
     fields = {f.name for f in dataclasses.fields(cls)}
     validate_keys(obj, fields, context)

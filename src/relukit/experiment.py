@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from .config import (ConfigError, bab_config_from, dataset_from,
+from .config import (ConfigError, bab_config_from, dataset_from, int_list,
                      training_config_from, validate_keys)
 from .network import network_stats
 from .properties import Box, robustness_property
@@ -96,7 +96,7 @@ def run_experiment(config: dict) -> dict:
             raise ConfigError(f"experiment config: missing '{key}'")
     seed = as_int(config.get("seed", 0), "seed")
     dataset = dataset_from(config["dataset"])
-    hidden = [as_int(h, "hidden") for h in config["hidden"]]
+    hidden = int_list(config["hidden"], "hidden")
     widths = [dataset.input_dim] + hidden + [dataset.num_classes]
 
     base_cfg = training_config_from(config["baseline_train"], "baseline_train")

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 from .datasets import Dataset, Sample
 from .network import BatchNorm1DNode, SequentialNetwork, network_stats
+from .tensor import require_int
 from .training import TrainingConfig, evaluate, init_network, train
 from .verifier import BabConfig, Status, falsify_sample, verify_bab
 
@@ -20,6 +21,8 @@ class RepairConfig:
     from_scratch: bool = False
 
     def __post_init__(self):
+        require_int(self, "max_iterations",
+                    "counterexamples_per_property_per_round")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.counterexamples_per_property_per_round < 1:

@@ -17,7 +17,8 @@ import numpy as np
 from scipy.optimize._highspy import _core as _highs
 
 from .network import (FullyConnectedNode, ReLUNode, SequentialNetwork,
-                      fold_batchnorm, forward, forward_batch)
+                      _params, _require_valid, fold_batchnorm, forward,
+                      forward_batch)
 from .properties import (Box, Property, satisfies_disjunct,
                          violated_disjunct)
 from .tensor import require_int
@@ -31,7 +32,7 @@ CEX_TOL = 1e-7
 # How far an LP point may miss the box or the rows: scipy's linprog check,
 # sqrt of its default tol 1e-9, times 10
 LP_TOL = np.sqrt(1e-9) * 10
-_thread = threading.local()  # holds each thread's HiGHS solver
+_thread = threading.local()  # each thread's HiGHS solver and fold memo
 
 
 class Status(str, Enum):
@@ -94,8 +95,32 @@ def _is_folded(net: SequentialNetwork) -> bool:
     return all(isinstance(n, (FullyConnectedNode, ReLUNode)) for n in net.nodes)
 
 
+def _content_key(net: SequentialNetwork) -> tuple:
+    """What validate and fold_batchnorm read from net, copied: name,
+    input_dim, each node's type, eps and dim, and each parameter array's
+    shape, dtype and values (joined as float64, as the fold casts them)."""
+    arrays = [a for node in net.nodes for a in _params(node)]
+    return (net.name, net.input_dim,
+            [(type(n), getattr(n, "eps", None), getattr(n, "dim", None))
+             for n in net.nodes],
+            [(a.shape, a.dtype) for a in arrays],
+            np.concatenate([np.zeros(0), *arrays], axis=None).tobytes())
+
+
 def _folded(net: SequentialNetwork) -> SequentialNetwork:
-    return net if _is_folded(net) else fold_batchnorm(net)
+    """net validated and batch-norm-folded (net itself without batch norm);
+    ValueError if invalid. Each thread remembers the last valid net's content
+    key and fold, so the same content is not validated or folded again. The
+    fold shares no array with a caller and is never mutated."""
+    key = _content_key(net)
+    memo = getattr(_thread, "fold", None)
+    if memo is None or memo[0] != key:
+        if _is_folded(net):
+            _require_valid(net)
+            memo = _thread.fold = (key, None)
+        else:
+            memo = _thread.fold = (key, fold_batchnorm(net))
+    return net if memo[1] is None else memo[1]
 
 
 def _interval_fc(node: FullyConnectedNode, lo: np.ndarray, hi: np.ndarray):

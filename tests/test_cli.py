@@ -111,6 +111,18 @@ class TestTrain:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("hidden", [4, "4", {"width": 4}],
+                             ids=["number", "string", "object"])
+    def test_hidden_not_a_list_exits_three(self, tmp_path, hidden, capsys):
+        cfg = write_json(tmp_path / "train.json", {
+            "dataset": SYNTH, "net": {"hidden": hidden},
+            "train": {"epochs": 1}})
+        out = tmp_path / "m.json"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 3
+        assert (f"config.net.hidden must be a list of integers, got "
+                f"{hidden!r}" in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestPrune:
     def test_wp_zero_threshold_identity(self, tmp_path, trained_model):
@@ -221,6 +233,22 @@ class TestVerify:
         assert json.loads(out.read_text())["stats"]["root_unstable"] == \
             root_unstable_count(load_model(trained_model), prop.input_box)
 
+    def test_invalid_bn_free_model_exits_three(self, tmp_path, train_cfg,
+                                               capsys):
+        # FC - ReLU - FC - ReLU: no batch norm, but a trailing ReLU
+        fc = {"kind": "fully_connected", "in": 2, "out": 2}
+        model = write_json(tmp_path / "trailing_relu.json", {
+            "format_version": 1, "name": "trailing-relu", "input_dim": 2,
+            "layers": [{**fc, "weights": [[1, 0], [0, 1]], "bias": [0, 0]},
+                       {"kind": "relu", "dim": 2},
+                       {**fc, "weights": [[1, 0], [0, 1]], "bias": [-1, -2]},
+                       {"kind": "relu", "dim": 2}]})
+        assert main(["verify", "--model", model, "--robustness",
+                     "--config", train_cfg, "--sample-index", "0",
+                     "--epsilon", "0.05"]) == 3
+        assert "must end with a fully-connected layer" in \
+            capsys.readouterr().err
+
     def test_ibp_engine(self, trained_model, train_cfg, capsys):
         assert main(["verify", "--model", trained_model, "--robustness",
                      "--config", train_cfg, "--sample-index", "0",
@@ -283,6 +311,32 @@ class TestRepairCommand:
         assert shown in capsys.readouterr().err
         assert not out.exists()
 
+    def test_indices_not_a_list_exits_three(self, tmp_path, trained_model,
+                                            capsys):
+        cfg = write_json(tmp_path / "repair.json", {
+            "dataset": SYNTH, "queries": {"indices": 0}})
+        out = tmp_path / "repaired.json"
+        assert main(["repair", "--model", trained_model, "--config", cfg,
+                     "--out", str(out)]) == 3
+        assert ("config.queries.indices must be a list of integers, got 0"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_iterations", 1.5),
+        ("counterexamples_per_property_per_round", True)])
+    def test_non_integer_repair_field_exits_three(
+            self, tmp_path, trained_model, field, value, capsys):
+        cfg = write_json(tmp_path / "repair.json", {
+            "dataset": SYNTH, "queries": {"count": 1},
+            "repair": {field: value}})
+        out = tmp_path / "repaired.json"
+        assert main(["repair", "--model", trained_model, "--config", cfg,
+                     "--out", str(out)]) == 3
+        assert (f"{field} must be an integer, got {value!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestExperimentCommand:
     @pytest.mark.parametrize("section,ratio", [("wp", 1.0), ("wp", -0.5),
@@ -314,8 +368,9 @@ class TestExperimentCommand:
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"queries": {"count": 2.5}},
          "queries.count must be an integer, got 2.5"),
-        ({"hidden": [4.7]}, "hidden must be an integer, got 4.7")],
-        ids=["seed", "queries.count", "hidden"])
+        ({"hidden": [4.7]}, "hidden must be an integer, got 4.7"),
+        ({"hidden": 4}, "hidden must be a list of integers, got 4")],
+        ids=["seed", "queries.count", "hidden", "hidden-not-a-list"])
     def test_non_integer_field_exits_three(self, tmp_path, override, shown,
                                            capsys):
         cfg = write_json(tmp_path / "experiment.json", {

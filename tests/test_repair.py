@@ -39,6 +39,16 @@ class TestConfigAndInputs:
         with pytest.raises(ValueError):
             RepairConfig(counterexamples_per_property_per_round=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_iterations", 2.5), ("max_iterations", True),
+        ("counterexamples_per_property_per_round", 1.5),
+        ("counterexamples_per_property_per_round", True)])
+    def test_integer_fields(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"{field} must be an integer, got {value!r}"):
+            RepairConfig(**{field: value})
+        assert getattr(RepairConfig(**{field: np.int64(2)}), field) == 2
+
 
 class TestAlreadyVerified:
     def test_early_exit_leaves_net_unchanged(self):

@@ -13,7 +13,8 @@ from relukit import verifier
 from relukit.network import (FullyConnectedNode, ReLUNode, SequentialNetwork,
                              fold_batchnorm, forward, forward_batch)
 from relukit.properties import (Box, LinearAtom, Property,
-                                robustness_property, satisfies_disjunct)
+                                robustness_property, satisfies_disjunct,
+                                violated_disjunct)
 from relukit.verifier import (CEX_TOL, BabConfig, LPUndecidedError,
                               SpuriousWitnessError, Status, check_pattern,
                               falsify_sample, interval_forward, lp_feasible,
@@ -801,3 +802,152 @@ class TestRootUnstable:
         net = abs_net()
         assert root_unstable_count(net, Box([-1.0], [1.0])) == 2
         assert root_unstable_count(net, Box([0.5], [1.0])) == 0
+
+
+def trailing_relu_net():
+    """FC(I, 0) - ReLU - FC(I, [-1, -2]) - ReLU: invalid, since a network
+    must end with an FC layer, though it has no batch norm to fold."""
+    return SequentialNetwork("trailing-relu", 2, [
+        FullyConnectedNode(np.eye(2), np.zeros(2)), ReLUNode(2),
+        FullyConnectedNode(np.eye(2), [-1.0, -2.0]), ReLUNode(2)])
+
+
+def fold_arrays(folded):
+    """Each node of a folded net as its type and its dim or its parameters'
+    shape and bytes, to compare two folds byte for byte."""
+    return [(ReLUNode, n.dim) if isinstance(n, ReLUNode) else
+            (type(n), n.weights.shape, n.weights.tobytes(), n.bias.tobytes())
+            for n in folded.nodes]
+
+
+def result_facts(res):
+    stats = {k: v for k, v in res.stats.items() if k != "wall_time"}
+    cex = res.counterexample
+    return res.status, stats, None if cex is None else cex.input.tobytes()
+
+
+class TestFoldMemo:
+    """verifier._folded validates every network and remembers, per thread,
+    the last valid one's fold, keyed on its content."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self, monkeypatch):
+        monkeypatch.setattr(verifier, "_thread", threading.local())
+
+    @staticmethod
+    def count_folds(monkeypatch):
+        calls = []
+
+        def counting(net):
+            calls.append(net)
+            return fold_batchnorm(net)
+        monkeypatch.setattr(verifier, "fold_batchnorm", counting)
+        return calls
+
+    @staticmethod
+    def query(net, seed, eps=0.1):
+        rng = np.random.default_rng(seed)
+        x0 = rng.uniform(0.2, 0.8, size=net.input_dim)
+        return robustness_property(
+            x0, int(np.argmax(forward(net, x0))), eps,
+            Box(np.zeros(net.input_dim), np.ones(net.input_dim)),
+            net.output_dim)
+
+    def test_bn_free_net_is_validated(self):
+        net = trailing_relu_net()
+        prop = robustness_property(np.array([0.9, 0.5]), 0, 0.05,
+                                   Box(np.zeros(2), np.ones(2)), 2)
+        # the centre's output [0, 0] violates the property: Verified would
+        # be unsound
+        assert violated_disjunct(forward(net, prop.input_box.center()),
+                                 prop.violation) is not None
+        verify_bab(abs_net(), Property(Box([-1.0], [1.0]),
+                                       violation([1.0], -1.0), 1))
+        for call in (lambda: verify_bab(net, prop),
+                     lambda: verify_ibp(net, prop),
+                     lambda: falsify_sample(net, prop, 8),
+                     lambda: root_unstable_count(net, prop.input_box)):
+            with pytest.raises(ValueError, match="must end with a fully"):
+                call()
+
+    @pytest.mark.parametrize("with_bn", [True, False])
+    def test_nan_net_raises_on_every_call(self, with_bn):
+        net = random_net((3, 5, 4, 2), seed=4, with_bn=with_bn)
+        prop = self.query(net, 4)
+        verify_bab(net, prop)
+        net.nodes[0].weights[1, 2] = np.nan
+        for _ in range(3):
+            with pytest.raises(ValueError, match="non-finite"):
+                verify_bab(net, prop)
+            with pytest.raises(ValueError, match="non-finite"):
+                root_unstable_count(net, prop.input_box)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda net: net.nodes[0].weights.__setitem__((0, 1), 2.0),
+        lambda net: net.nodes[1].running_var.__imul__(3.0),
+        lambda net: setattr(net.nodes[1], "eps", 0.5)],
+        ids=["weight", "running_var", "eps"])
+    def test_in_place_change_is_seen(self, monkeypatch, mutate):
+        net = random_net((3, 6, 5, 2), seed=7)
+        props = [self.query(net, s, eps=0.2) for s in range(4)]
+        folds = self.count_folds(monkeypatch)
+        before = fold_arrays(verifier._folded(net))
+        [verify_bab(net, p) for p in props]
+        mutate(net)
+        after = [result_facts(verify_bab(net, p)) for p in props]
+        assert len(folds) == 2
+        assert fold_arrays(verifier._folded(net)) != before
+        assert fold_arrays(verifier._folded(net)) == \
+            fold_arrays(fold_batchnorm(net))
+        monkeypatch.setattr(verifier, "_folded", fold_batchnorm)
+        assert after == [result_facts(verify_bab(net, p)) for p in props]
+
+    def test_one_fold_per_net_content(self, monkeypatch):
+        nets = [random_net((3, 6, 5, 2), seed=s) for s in (1, 2)]
+        props = [self.query(nets[0], s) for s in range(3)]
+        folds = self.count_folds(monkeypatch)
+        for net in nets:
+            for prop in props:
+                verify_bab(net, prop)
+                root_unstable_count(net, prop.input_box)
+                falsify_sample(net, prop, 8)
+        assert list(map(id, folds)) == list(map(id, nets))
+        verify_bab(nets[1].copy(), props[0])  # same content, new arrays
+        assert len(folds) == 2
+        for net in nets:  # one net remembered per thread
+            root_unstable_count(net, props[0].input_box)
+        assert list(map(id, folds)) == list(map(id, nets + nets))
+
+    def test_bn_free_net_is_validated_once_and_not_copied(self, monkeypatch):
+        net = random_net((3, 6, 5, 2), seed=3, with_bn=False)
+        folds = self.count_folds(monkeypatch)
+        checks = []
+        monkeypatch.setattr(verifier, "_require_valid", checks.append)
+        assert all(verifier._folded(net) is net for _ in range(3))
+        assert checks == [net] and folds == []
+
+    def test_memo_shares_no_memory_with_the_net(self):
+        net = random_net((3, 6, 5, 2), seed=5)
+        folded = verifier._folded(net)
+        params = [a for n in net.nodes for a in vars(n).values()
+                  if isinstance(a, np.ndarray)]
+        assert not any(np.shares_memory(a, b) for n in folded.nodes
+                       for a in vars(n).values() if isinstance(a, np.ndarray)
+                       for b in params)
+
+    def test_verifier_never_mutates_the_fold(self, monkeypatch):
+        enum_calls = []
+        enum_decide = verifier._enum_decide
+
+        def counting(*args):
+            enum_calls.append(1)
+            return enum_decide(*args)
+        monkeypatch.setattr(verifier, "_enum_decide", counting)
+        config = BabConfig(max_nodes=50, enum_threshold=20, sample_count=4)
+        for seed in range(6):
+            net = random_net((3, 8, 6, 3), seed=seed, scale=1.5)
+            for q in range(4):
+                verify_bab(net, self.query(net, q, eps=0.3), config)
+            assert fold_arrays(verifier._thread.fold[1]) == \
+                fold_arrays(fold_batchnorm(net))
+        assert enum_calls
