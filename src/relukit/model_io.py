@@ -6,6 +6,7 @@ import tempfile
 
 from .network import (BatchNorm1DNode, FullyConnectedNode, ReLUNode,
                       SequentialNetwork, validate)
+from .tensor import as_int
 
 __all__ = ["FORMAT_VERSION", "ModelFormatError", "save_model", "load_model",
            "network_to_document", "document_to_network", "atomic_write_text"]
@@ -57,6 +58,11 @@ def _field(record: dict, key: str, index: int):
     return record[key]
 
 
+def _size(record: dict, key: str, index: int) -> int:
+    """A layer's size field; ValueError naming it when not an integer."""
+    return as_int(_field(record, key, index), key)
+
+
 def document_to_network(doc: dict) -> SequentialNetwork:
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
@@ -73,8 +79,8 @@ def document_to_network(doc: dict) -> SequentialNetwork:
             if kind == "fully_connected":
                 node = FullyConnectedNode(_field(record, "weights", i),
                                           _field(record, "bias", i))
-                if node.in_dim != _field(record, "in", i) or \
-                        node.out_dim != _field(record, "out", i):
+                if node.in_dim != _size(record, "in", i) or \
+                        node.out_dim != _size(record, "out", i):
                     raise ModelFormatError(
                         f"layer {i}: declared dims ({record['in']}, {record['out']}) "
                         f"do not match weights shape {node.weights.shape}")
@@ -83,12 +89,12 @@ def document_to_network(doc: dict) -> SequentialNetwork:
                     _field(record, "gamma", i), _field(record, "beta", i),
                     _field(record, "running_mean", i),
                     _field(record, "running_var", i), _field(record, "eps", i))
-                if node.dim != _field(record, "dim", i):
+                if node.dim != _size(record, "dim", i):
                     raise ModelFormatError(
                         f"layer {i}: declared dim {record['dim']} does not match "
                         f"gamma length {node.dim}")
             elif kind == "relu":
-                node = ReLUNode(int(_field(record, "dim", i)))
+                node = ReLUNode(_size(record, "dim", i))
             else:
                 raise ModelFormatError(f"layer {i}: unknown layer kind {kind!r}")
         except (TypeError, ValueError) as exc:
@@ -96,7 +102,11 @@ def document_to_network(doc: dict) -> SequentialNetwork:
                 raise
             raise ModelFormatError(f"layer {i}: {exc}") from exc
         nodes.append(node)
-    net = SequentialNetwork(str(doc["name"]), int(doc["input_dim"]), nodes)
+    try:
+        input_dim = as_int(doc["input_dim"], "input_dim")
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from exc
+    net = SequentialNetwork(str(doc["name"]), input_dim, nodes)
     errors = validate(net)
     if errors:
         raise ModelFormatError("document decodes to an invalid network: "

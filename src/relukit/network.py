@@ -6,7 +6,6 @@ fully-connected output layer (no activation after it).
 """
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -122,20 +121,6 @@ def _params(node: LayerNode) -> tuple:
     return ()
 
 
-def _param_flags(arrays: list) -> tuple[list, list]:
-    """Per array, whether all of it is finite and whether any of it is
-    negative, from one pass over the arrays joined."""
-    sizes = [a.size for a in arrays]
-    starts = list(accumulate(sizes[:-1], initial=0))
-    # the trailing 0 keeps every start in range; reduceat reads an empty
-    # segment as the element at its start, so empty arrays are set apart
-    flat = np.concatenate([*arrays, np.zeros(1)], axis=None)
-    finite = np.logical_and.reduceat(np.isfinite(flat), starts).tolist()
-    negative = np.logical_or.reduceat(flat < 0.0, starts).tolist()
-    return ([f or not n for f, n in zip(finite, sizes)],
-            [g and n > 0 for g, n in zip(negative, sizes)])
-
-
 def validate(net: SequentialNetwork) -> list[str]:
     """Return a list of structural problems; empty means the network is ok."""
     errors: list[str] = []
@@ -145,28 +130,26 @@ def validate(net: SequentialNetwork) -> list[str]:
         errors.append("network has no nodes")
         return errors
 
-    params = [_params(node) for node in net.nodes]
-    finite, negative = _param_flags([a for p in params for a in p])
-    cur, k = net.input_dim, 0
+    cur = net.input_dim
     for i, node in enumerate(net.nodes):
         d_in, d_out = _node_dims(node)
         if d_in != cur:
             errors.append(f"dim mismatch at node {i}: expected input {cur}, got {d_in}")
         cur = d_out
         if isinstance(node, FullyConnectedNode):
-            if not (finite[k] and finite[k + 1]):
+            if not (np.isfinite(node.weights).all()
+                    and np.isfinite(node.bias).all()):
                 errors.append(f"non-finite parameters at node {i}")
         elif isinstance(node, BatchNorm1DNode):
-            for j, (name, v) in enumerate(zip(_BN_PARAMS, params[i])):
+            for name, v in zip(_BN_PARAMS, _params(node)):
                 if v.shape[0] != node.dim:
                     errors.append(f"{name} length {v.shape[0]} != dim {node.dim} at node {i}")
-                if not finite[k + j]:
+                if not np.isfinite(v).all():
                     errors.append(f"non-finite {name} at node {i}")
-            if negative[k + 3]:  # running_var
+            if (node.running_var < 0).any():
                 errors.append(f"negative running_var at node {i}")
             if node.eps <= 0:
                 errors.append(f"eps must be positive at node {i}")
-        k += len(params[i])
 
     # Canonical block pattern: (FC [BN] ReLU)* FC
     i, n = 0, len(net.nodes)

@@ -12,7 +12,8 @@ import numpy as np
 
 from .datasets import Dataset
 from .network import (BatchNorm1DNode, FullyConnectedNode, ReLUNode,
-                      SequentialNetwork, network_stats, validate)
+                      SequentialNetwork, _require_valid, network_stats,
+                      validate)
 from .training import TrainingConfig, evaluate, train
 
 __all__ = ["PruningConfig", "weight_prune", "select_slim_targets",
@@ -72,9 +73,7 @@ def weight_prune(net: SequentialNetwork, threshold: Optional[float] = None,
     if (threshold is None) == (ratio is None):
         raise ValueError("pass exactly one of threshold or ratio")
     _check_amount(threshold=threshold)
-    errors = validate(net)
-    if errors:
-        raise ValueError("invalid network: " + "; ".join(errors))
+    _require_valid(net)
     if threshold is None:
         pool = np.concatenate([np.abs(n.weights).ravel() for n in net.nodes
                                if isinstance(n, FullyConnectedNode)])
@@ -115,9 +114,7 @@ def network_slim(net: SequentialNetwork, ratio: float) -> SequentialNetwork:
     The removed neuron's constant output proxy relu(beta_j) is folded into
     the next layer's bias; this is exact when gamma_j = 0.
     """
-    errors = validate(net)
-    if errors:
-        raise ValueError("invalid network: " + "; ".join(errors))
+    _require_valid(net)
     masks = select_slim_targets(net, ratio)
     out = net.copy()
     for bn_idx, keep in masks.items():

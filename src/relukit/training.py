@@ -6,13 +6,14 @@ batch-norm scales (slim_lambda * sum |gamma|). The literal 0-1 risk and the
 unsquared L2 regularizer are reported as metrics but never optimized.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .datasets import Dataset
 from .network import (BatchNorm1DNode, FullyConnectedNode, ReLUNode,
-                      SequentialNetwork, forward_batch, validate)
+                      SequentialNetwork, _require_valid, forward_batch)
 from .tensor import NonFiniteError, require_int
 
 __all__ = ["TrainingConfig", "AdamState", "init_network", "loss_and_grads",
@@ -52,12 +53,13 @@ class TrainingConfig:
 
 @dataclass
 class AdamState:
-    """Step count, and per parameter key Adam's two moments (m, v) and two
-    scratch buffers of the parameter's shape (scratch)."""
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """Step count, and Adam's two moments (m, v) and two scratch buffers
+    (scratch), each shaped like the parameter vector and allocated at the
+    first step."""
+    m: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
     t: int = 0
-    scratch: dict = field(default_factory=dict)
+    scratch: tuple = ()
 
 
 def init_network(widths: list[int], seed: int = 0, with_bn: bool = True,
@@ -228,47 +230,42 @@ def loss_and_grads(net: SequentialNetwork, xs: np.ndarray, labels: np.ndarray,
     return float(loss), grads, parts
 
 
-def adam_step(params: dict, grads: dict, state: AdamState,
-              config: TrainingConfig):
-    """One Adam update over a keyed family of parameter tensors, in place.
+def adam_step(theta: np.ndarray, g: np.ndarray, state: AdamState,
+              config: TrainingConfig) -> None:
+    """One Adam update of the parameter vector theta, in place.
 
-    Each params[key] and its moments state.m[key] and state.v[key] are
-    overwritten; grads are only read. A key's moments and two scratch
-    buffers are allocated at its first step, so later steps allocate no
-    parameter-sized array. Returns (params, state), the objects passed in.
+    theta and the moments state.m and state.v are overwritten; the gradient
+    g is only read. The moments and two scratch buffers are allocated at
+    the first step, so later steps allocate no parameter-sized array.
 
     Each elementwise operation keeps the operands and order of
     m = b1 * m + (1 - b1) * g, v = b2 * v + ((1 - b2) * g) * g and
     theta - (lr * m_hat) / (sqrt(v_hat) + eps), so the update equals the
     allocating expression bit for bit.
     """
+    if state.m is None:
+        state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
+        state.scratch = (np.empty_like(theta), np.empty_like(theta))
     state.t += 1
     t = state.t
     b1, b2 = config.beta1, config.beta2
     c1, c2 = 1 - b1 ** t, 1 - b2 ** t
-    for key, theta in params.items():
-        g = grads[key]
-        if key not in state.m:
-            state.m[key] = np.zeros_like(theta)
-            state.v[key] = np.zeros_like(theta)
-            state.scratch[key] = (np.empty_like(theta), np.empty_like(theta))
-        m, v = state.m[key], state.v[key]
-        a, b = state.scratch[key]
-        np.multiply(m, b1, out=m)
-        np.multiply(g, 1 - b1, out=a)
-        m += a
-        np.multiply(v, b2, out=v)
-        np.multiply(g, 1 - b2, out=a)
-        a *= g
-        v += a
-        np.divide(m, c1, out=a)
-        a *= config.learning_rate
-        np.divide(v, c2, out=b)
-        np.sqrt(b, out=b)
-        b += config.adam_eps
-        a /= b
-        theta -= a
-    return params, state
+    m, v = state.m, state.v
+    a, b = state.scratch
+    np.multiply(m, b1, out=m)
+    np.multiply(g, 1 - b1, out=a)
+    m += a
+    np.multiply(v, b2, out=v)
+    np.multiply(g, 1 - b2, out=a)
+    a *= g
+    v += a
+    np.divide(m, c1, out=a)
+    a *= config.learning_rate
+    np.divide(v, c2, out=b)
+    np.sqrt(b, out=b)
+    b += config.adam_eps
+    a /= b
+    theta -= a
 
 
 def _stack_split(samples):
@@ -298,9 +295,7 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
     are views of one parameter vector, which one adam_step call per batch
     updates in place.
     """
-    errors = validate(net)
-    if errors:
-        raise ValueError("invalid network: " + "; ".join(errors))
+    _require_valid(net)
     if dataset.input_dim != net.input_dim:
         raise ValueError("dataset input_dim does not match network")
     net = net.copy()
@@ -314,7 +309,6 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
     rng = np.random.default_rng(config.seed)
     keys, flat = _bind_flat(net)
     flat_g = np.empty_like(flat)
-    params, flat_grads = {"flat": flat}, {"flat": flat_g}
     state = AdamState()
     has_bn = _has_bn(net)
 
@@ -332,7 +326,7 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
             loss, grads, parts = loss_and_grads(net, xs_all[idx], ys_all[idx],
                                                 config)
             np.concatenate([grads[k].ravel() for k in keys], out=flat_g)
-            adam_step(params, flat_grads, state, config)
+            adam_step(flat, flat_g, state, config)
             for i, (mu, var) in parts["bn_stats"].items():
                 bn = net.nodes[i]
                 bn.running_mean = ((1 - config.bn_momentum) * bn.running_mean

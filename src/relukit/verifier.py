@@ -368,55 +368,31 @@ def lp_feasible(a_ub: np.ndarray, b_ub: np.ndarray, box: Box):
     raise LPUndecidedError(f"LP status {res.status}: {res.message}")
 
 
-def _fc_offsets(fcs) -> list:
-    """Offset in a hidden activation pattern of each FC node's neurons."""
-    return np.cumsum([0] + [n.out_dim for n in fcs]).tolist()
-
-
-def _fc_map(fcs, offsets, pattern, li, cache):
-    """(a, c) with a @ x + c the output of fcs[li] as a function of the input
-    x, under the activation pattern (1 active, 0 inactive) of the hidden
-    layers before it. Looked up in and added to `cache`, keyed by li and
-    that part of the pattern, with the maps of the layers before it."""
-    key = (li, pattern[:offsets[li]].tobytes())
-    hit = cache.get(key)
-    if hit is None:
-        if li == 0:
-            a, c = np.eye(fcs[0].in_dim), np.zeros(fcs[0].in_dim)
-        else:
-            a, c = _fc_map(fcs, offsets, pattern, li - 1, cache)
-            active = pattern[offsets[li - 1]:offsets[li]].astype(bool)
-            a, c = a * active[:, None], c * active
-        node = fcs[li]
-        hit = cache[key] = (node.weights @ a, node.weights @ c + node.bias)
-    return hit
-
-
-def _affine_maps(net: SequentialNetwork, pattern: np.ndarray):
-    """Affine expression of every pre-activation and the output as functions
-    of the input, under a total activation pattern (1 active, 0 inactive).
-
-    Returns (sign_rows, sign_rhs, a_out, c_out): sign constraints already
-    oriented as rows @ x <= rhs.
+def _pattern_maps(fcs, pattern, stop=None):
+    """Affine maps of a folded network's FC nodes `fcs` under an activation
+    pattern (1 active, 0 inactive): (rows, rhs, a, c), with each hidden
+    neuron's sign constraint a row of rows @ x <= rhs (-pre <= 0 when
+    active, pre <= 0 when inactive) and a @ x + c the output as a function
+    of the input x. With `stop`, a hidden neuron's index, the loop ends at
+    that neuron's layer: rows and rhs end with it, a and c are its
+    pre-activation, and only the pattern of the layers before it is read.
     """
-    if not _is_folded(net):
-        raise ValueError("expected a folded (FC/ReLU only) network")
-    fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
-    offsets = _fc_offsets(fcs)
-    if offsets[-2] != pattern.shape[0]:
-        raise ValueError(f"pattern length {pattern.shape[0]} != hidden "
-                         f"neuron count {offsets[-2]}")
-    cache = {}
-    sign_rows = [np.zeros((0, net.input_dim))]
-    sign_rhs = [np.zeros(0)]
-    for li in range(len(fcs) - 1):
-        a, c = _fc_map(fcs, offsets, pattern, li, cache)
-        active = pattern[offsets[li]:offsets[li + 1]].astype(bool)
-        # active: pre >= 0  ->  -row @ x <= const ; inactive: row @ x <= -const
-        sign_rows.append(np.where(active[:, None], -a, a))
-        sign_rhs.append(np.where(active, c, -c))
-    a_out, c_out = _fc_map(fcs, offsets, pattern, len(fcs) - 1, cache)
-    return np.vstack(sign_rows), np.concatenate(sign_rhs), a_out, c_out
+    d = fcs[0].in_dim
+    a, c = np.eye(d), np.zeros(d)
+    rows, rhs, k = [np.zeros((0, d))], [np.zeros(0)], 0
+    for node in fcs[:-1]:
+        a = node.weights @ a
+        c = node.weights @ c + node.bias
+        active = pattern[k:k + node.out_dim].astype(bool)
+        k += node.out_dim
+        rows.append(np.where(active[:, None], -a, a))
+        rhs.append(np.where(active, c, -c))
+        if stop is not None and stop < k:
+            break
+        a, c = a * active[:, None], c * active
+    else:
+        a, c = fcs[-1].weights @ a, fcs[-1].weights @ c + fcs[-1].bias
+    return np.vstack(rows), np.concatenate(rhs), a, c
 
 
 def check_pattern(net: SequentialNetwork, box: Box, pattern: np.ndarray,
@@ -426,7 +402,15 @@ def check_pattern(net: SequentialNetwork, box: Box, pattern: np.ndarray,
     Returns a witness input or None (infeasible). A witness failing concrete
     re-validation raises SpuriousWitnessError.
     """
-    rows, rhs, a_out, c_out = _affine_maps(net, np.asarray(pattern))
+    if not _is_folded(net):
+        raise ValueError("expected a folded (FC/ReLU only) network")
+    fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
+    pattern = np.asarray(pattern)
+    hidden = sum(n.out_dim for n in fcs[:-1])
+    if pattern.shape[0] != hidden:
+        raise ValueError(f"pattern length {pattern.shape[0]} != hidden "
+                         f"neuron count {hidden}")
+    rows, rhs, a_out, c_out = _pattern_maps(fcs, pattern)
     atom_rows = np.stack([atom.coeffs @ a_out for atom in disjunct])
     atom_rhs = np.array([atom.rhs - float(atom.coeffs @ c_out)
                          for atom in disjunct])
@@ -444,8 +428,10 @@ class _BudgetExhausted(Exception):
     """The time budget ran out inside an exact leaf decision."""
 
 
-def _enum_decide(net, box, prop, alive, los, his, counters, deadline):
-    """Exact decision for a node whose free neurons are enumerable.
+def _enum_decide(net, folded, box, prop, alive, los, his, counters,
+                 deadline):
+    """Exact decision for a node whose free neurons are enumerable, over
+    `folded`, the fold of `net`.
 
     Depth-first search over the free (unstable) neurons in layer order, one
     neuron fixed per tree level, inactive before active, so total patterns
@@ -460,17 +446,14 @@ def _enum_decide(net, box, prop, alive, los, his, counters, deadline):
     disjunct with an atom that its output map refutes on the box and
     decides the rest with check_pattern.
 
-    Returns a Counterexample, or None when the node is proven safe. Counts
-    LPs, total patterns reached and pruned subtrees in `counters`; raises
-    _BudgetExhausted at a tree node reached after `deadline`.
+    Returns a Counterexample re-validated on `net`, or None when the node
+    is proven safe. Counts LPs, total patterns reached and pruned subtrees
+    in `counters`; raises _BudgetExhausted at a tree node reached after
+    `deadline`.
     """
     free = np.flatnonzero((los < 0.0) & (his > 0.0))
     lo, hi = box.lo, box.hi
-    fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
-    offsets = _fc_offsets(fcs)
-    # index in fcs of the FC node each free neuron belongs to
-    layer = np.searchsorted(offsets, free, side="right") - 1
-    maps = {}  # each FC node's map per pattern of the layers before it
+    fcs = [n for n in folded.nodes if isinstance(n, FullyConnectedNode)]
     saved = 0  # LPs that trying every pattern would run, less those we ran
     # (depth, pattern, prefix rows and rhs, a point that may satisfy them);
     # the last row is the child's own and is still unchecked
@@ -497,10 +480,10 @@ def _enum_decide(net, box, prop, alive, los, his, counters, deadline):
                         saved += subtree
                         continue
         if depth < free.size:
-            n, li = free[depth], layer[depth]
-            a, c = _fc_map(fcs, offsets, pattern, li, maps)
-            # the "inactive" row of neuron n, as _affine_maps orients it
-            row, row_rhs = a[n - offsets[li]], -c[n - offsets[li]]
+            n = free[depth]
+            # neuron n's sign row; its bit is still 0, so the inactive one
+            pre_rows, pre_rhs = _pattern_maps(fcs, pattern, n)[:2]
+            row, row_rhs = pre_rows[n], pre_rhs[n]
             for bit, sign in ((1, -1.0), (0, 1.0)):  # inactive pops first
                 child = pattern.copy()
                 child[n] = bit
@@ -509,7 +492,7 @@ def _enum_decide(net, box, prop, alive, los, his, counters, deadline):
                               np.append(rhs, sign * row_rhs), x))
             continue
         counters["enum_leaves"] += 1
-        a_out, c_out = _fc_map(fcs, offsets, pattern, len(fcs) - 1, maps)
+        a_out, c_out = _pattern_maps(fcs, pattern)[2:]
         for j in alive:
             disjunct = prop.violation[j]
             if any(_box_min(a.coeffs @ a_out, lo, hi)
@@ -517,7 +500,7 @@ def _enum_decide(net, box, prop, alive, los, his, counters, deadline):
                 saved += 1
                 continue
             counters["lp_calls"] += 1
-            w = check_pattern(net, box, pattern, disjunct)
+            w = check_pattern(folded, box, pattern, disjunct)
             if w is not None:
                 cex = _validated_cex(net, prop, w)
                 if cex is None:
@@ -586,7 +569,7 @@ def verify_bab(net: SequentialNetwork, prop: Property,
 
         if free <= config.enum_threshold:
             try:
-                cex = _enum_decide(folded, box, prop, alive, los, his,
+                cex = _enum_decide(net, folded, box, prop, alive, los, his,
                                    counters, start + config.time_budget)
             except (SpuriousWitnessError, LPUndecidedError):
                 pass  # no exact decision here: split the box instead

@@ -397,6 +397,16 @@ class TestEvalInfo:
     def test_info_missing_model(self, tmp_path, capsys):
         assert main(["info", "--model", str(tmp_path / "none.json")]) == 3
 
+    def test_info_non_integer_size_exits_three(self, trained_model, tmp_path,
+                                               capsys):
+        with open(trained_model) as fh:
+            doc = json.load(fh)
+        doc["input_dim"] = 2.9
+        model = write_json(tmp_path / "float_dim.json", doc)
+        assert main(["info", "--model", model]) == 3
+        assert "input_dim must be an integer, got 2.9" in \
+            capsys.readouterr().err
+
 
 class TestExportSmtlib:
     def test_output_is_parseable(self, tmp_path, train_cfg):

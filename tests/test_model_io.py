@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -101,3 +102,40 @@ def test_malformed_json_reports_position(tmp_path):
     path.write_text("{ not json")
     with pytest.raises(ModelFormatError, match="line 1"):
         load_model(str(path))
+
+
+def write_doc(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _relu_doc():
+    fc = {"kind": "fully_connected"}
+    return {"format_version": 1, "name": "sizes", "input_dim": 2,
+            "layers": [{**fc, "in": 2, "out": 2, "weights": [[1, 0], [0, 1]],
+                        "bias": [0, 0]},
+                       {"kind": "relu", "dim": 2},
+                       {**fc, "in": 2, "out": 1, "weights": [[1, -1]],
+                        "bias": [0]}]}
+
+
+@pytest.mark.parametrize("where, value, message", [
+    ("input_dim", 2.9, "input_dim must be an integer, got 2.9"),
+    ("input_dim", True, "input_dim must be an integer, got True"),
+    ("input_dim", "2", "input_dim must be an integer, got '2'"),
+    (1, 2.7, "layer 1: dim must be an integer, got 2.7"),
+    (1, True, "layer 1: dim must be an integer, got True"),
+    (0, 2.0, "layer 0: in must be an integer, got 2.0"),
+])
+def test_non_integer_size_rejected(tmp_path, where, value, message):
+    # int() used to truncate these: input_dim 2.9 and a ReLU dim 2.7 loaded
+    # as a valid net of size 2
+    doc = _relu_doc()
+    assert validate(load_model(write_doc(tmp_path, doc))) == []
+    if where == "input_dim":
+        doc["input_dim"] = value
+    else:
+        doc["layers"][where]["dim" if where == 1 else "in"] = value
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        load_model(write_doc(tmp_path, doc))

@@ -103,8 +103,7 @@ def broken_nets():
                        ("two ReLUs", nodes[:3] + nodes[2:]),
                        ("no output FC", nodes[:6])):
         cases.append((label, SequentialNetwork(label, 3, list(seq))))
-    # zero-width arrays, alone and next to a non-finite one: reduceat reads
-    # an empty segment as the element at its start
+    # zero-width arrays, alone and next to a non-finite one
     empty = SequentialNetwork("empty-layer", 3, [
         FullyConnectedNode(np.zeros((0, 3)), np.zeros(0)),
         BatchNorm1DNode(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0)),

@@ -120,50 +120,46 @@ class TestLossAndGrads:
 
 class TestAdamStep:
     def test_zero_gradient_fixed_point(self):
-        params = {"w": np.array([1.0, -2.0])}
-        grads = {"w": np.zeros(2)}
-        new, _ = adam_step(params, grads, AdamState(), TrainingConfig())
-        assert np.array_equal(new["w"], params["w"])
+        theta = np.array([1.0, -2.0])
+        adam_step(theta, np.zeros(2), AdamState(), TrainingConfig())
+        assert np.array_equal(theta, [1.0, -2.0])
 
     def test_first_step_magnitude(self):
-        params = {"w": np.array([0.0])}
-        grads = {"w": np.array([1.0])}
+        theta = np.array([0.0])
         cfg = TrainingConfig(learning_rate=0.001)
-        new, _ = adam_step(params, grads, AdamState(), cfg)
-        assert new["w"][0] == pytest.approx(-0.001, rel=1e-6)
+        adam_step(theta, np.array([1.0]), AdamState(), cfg)
+        assert theta[0] == pytest.approx(-0.001, rel=1e-6)
 
     def test_no_cross_contamination(self):
-        params = {"a": np.array([1.0]), "b": np.array([1.0])}
-        grads = {"a": np.array([1.0]), "b": np.array([0.0])}
-        new, state = adam_step(params, grads, AdamState(), TrainingConfig())
-        assert new["a"][0] != 1.0 and new["b"][0] == 1.0
+        theta, state = np.array([1.0, 1.0]), AdamState()
+        adam_step(theta, np.array([1.0, 0.0]), state, TrainingConfig())
+        assert theta[0] != 1.0 and theta[1] == 1.0
         assert state.t == 1
 
     def test_updates_params_and_moments_in_place_and_reads_grads(self):
-        # The docstring's contract: params and moments are overwritten in
-        # place with the allocating update's exact values; grads stay.
+        # The docstring's contract: the vector and the moments are
+        # overwritten in place with the allocating update's exact values;
+        # the gradient stays.
         rng = np.random.default_rng(8)
         cfg = TrainingConfig(learning_rate=0.01, beta1=0.8, beta2=0.99,
                              adam_eps=1e-6)
-        theta = rng.normal(size=(3, 4))
-        params, state = {"w": theta}, AdamState()
-        expect, m, v = theta.copy(), np.zeros((3, 4)), np.zeros((3, 4))
+        theta = rng.normal(size=12)
+        state = AdamState()
+        expect, m, v = theta.copy(), np.zeros(12), np.zeros(12)
         for t in (1, 2, 3):
-            g = rng.normal(size=(3, 4))
+            g = rng.normal(size=12)
             g_before = g.copy()
-            new, out_state = adam_step(params, {"w": g}, state, cfg)
-            assert new is params and out_state is state
-            assert params["w"] is theta
+            assert adam_step(theta, g, state, cfg) is None
             if t > 1:
-                assert state.m["w"] is m_obj and state.v["w"] is v_obj
-            m_obj, v_obj = state.m["w"], state.v["w"]
+                assert state.m is m_obj and state.v is v_obj
+            m_obj, v_obj = state.m, state.v
             m = cfg.beta1 * m + (1 - cfg.beta1) * g
             v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
             expect = expect - cfg.learning_rate * (m / (1 - cfg.beta1 ** t)) / (
                 np.sqrt(v / (1 - cfg.beta2 ** t)) + cfg.adam_eps)
             assert np.array_equal(g, g_before)
-            assert np.array_equal(state.m["w"], m)
-            assert np.array_equal(state.v["w"], v)
+            assert np.array_equal(state.m, m)
+            assert np.array_equal(state.v, v)
             assert np.array_equal(theta, expect)
             assert state.t == t
 

@@ -10,11 +10,13 @@ import pytest
 from conftest import random_net
 from oracles import exact_pattern_verdict, fm_feasible, reference_bound
 from relukit import verifier
+from relukit.datasets import synth_blobs
 from relukit.network import (FullyConnectedNode, ReLUNode, SequentialNetwork,
                              fold_batchnorm, forward, forward_batch)
 from relukit.properties import (Box, LinearAtom, Property,
                                 robustness_property, satisfies_disjunct,
                                 violated_disjunct)
+from relukit.training import TrainingConfig, init_network, train
 from relukit.verifier import (CEX_TOL, BabConfig, LPUndecidedError,
                               SpuriousWitnessError, Status, check_pattern,
                               falsify_sample, interval_forward, lp_feasible,
@@ -523,8 +525,8 @@ class TestLpFeasible:
 
 
 def affine_maps_loop(net, pattern):
-    """Reference for verifier._affine_maps: one loop over the FC layers that
-    composes every layer's map from the input, with no cache."""
+    """Reference for verifier._pattern_maps: one loop over the FC layers
+    that composes every layer's map from the input."""
     d = net.input_dim
     a, c = np.eye(d), np.zeros(d)
     rows, rhs, k = [np.zeros((0, d))], [np.zeros(0)], 0
@@ -544,37 +546,35 @@ def affine_maps_loop(net, pattern):
 
 
 class TestAffineMaps:
-    def test_cached_layer_maps_equal_the_loop(self):
-        """One cache shared across many patterns, as in the pattern search,
-        gives every layer's sign rows and the output map bit for bit."""
+    def test_pattern_maps_equal_the_loop(self):
+        """Every layer's sign rows and the output map, bit for bit, also
+        when the loop stops at the layer of a given neuron."""
         for seed in range(8):
             net = random_net((2, 3, 3, 3, 2), seed=seed, with_bn=False)
             fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
-            offsets = verifier._fc_offsets(fcs)
             rng = np.random.default_rng(seed)
-            cache = {}
             for _ in range(60):
                 pattern = rng.integers(0, 2, size=9)
-                rows, rhs, a_out, c_out = affine_maps_loop(net, pattern)
-                got = verifier._affine_maps(net, pattern)
-                assert all(np.array_equal(r, g)
-                           for r, g in zip((rows, rhs, a_out, c_out), got))
-                for li in range(len(fcs) - 1):
-                    a, c = verifier._fc_map(fcs, offsets, pattern, li, cache)
-                    part = slice(offsets[li], offsets[li + 1])
-                    active = pattern[part].astype(bool)
+                want = affine_maps_loop(net, pattern)
+                got = verifier._pattern_maps(fcs, pattern)
+                assert all(np.array_equal(w, g) for w, g in zip(want, got))
+                for stop in range(9):
+                    end = (stop // 3 + 1) * 3  # end of the neuron's layer
+                    rows, rhs, a, c = verifier._pattern_maps(fcs, pattern,
+                                                             stop)
+                    assert np.array_equal(rows, want[0][:end])
+                    assert np.array_equal(rhs, want[1][:end])
+                    active = pattern[end - 3:end].astype(bool)
                     assert np.array_equal(np.where(active[:, None], -a, a),
-                                          rows[part])
-                    assert np.array_equal(np.where(active, c, -c), rhs[part])
-                a, c = verifier._fc_map(fcs, offsets, pattern, len(fcs) - 1,
-                                        cache)
-                assert np.array_equal(a, a_out) and np.array_equal(c, c_out)
-            assert len(cache) < 60 * len(fcs)  # earlier layers were reused
+                                          want[0][end - 3:end])
+                    assert np.array_equal(np.where(active, c, -c),
+                                          want[1][end - 3:end])
 
     def test_pattern_length_is_checked(self):
         net = random_net((2, 3, 2), seed=0, with_bn=False)
         with pytest.raises(ValueError, match="pattern length 2"):
-            verifier._affine_maps(net, np.zeros(2, dtype=int))
+            check_pattern(net, Box([0.0, 0.0], [1.0, 1.0]),
+                          np.zeros(2, dtype=int), [LinearAtom([1.0, 0.0], 0.0)])
 
 
 class TestCheckPattern:
@@ -691,11 +691,12 @@ def brute_force_enum(net, box, prop, alive, los, his):
     LP count, number of patterns whose activation region is nonempty)."""
     base = np.where(los >= 0.0, 1, 0)
     free = np.flatnonzero((los < 0.0) & (his > 0.0))
+    fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
     lp_calls = nonempty = 0
     for bits in product((0, 1), repeat=free.size):
         pattern = base.copy()
         pattern[free] = bits
-        rows, rhs = verifier._affine_maps(net, pattern)[:2]
+        rows, rhs = verifier._pattern_maps(fcs, pattern)[:2]
         nonempty += lp_feasible(rows, rhs, box) is not None
         for j in alive:
             lp_calls += 1
@@ -719,8 +720,8 @@ class TestEnumDecide:
                     continue
                 counters = {"lp_calls": 0, "enum_leaves": 0,
                             "enum_pruned": 0}
-                cex = verifier._enum_decide(net, box, prop, alive, los, his,
-                                            counters, float("inf"))
+                cex = verifier._enum_decide(net, net, box, prop, alive, los,
+                                            his, counters, float("inf"))
                 ref, ref_calls, nonempty = brute_force_enum(
                     net, box, prop, alive, los, his)
                 assert (cex is None) == (ref is None), (widths, seed)
@@ -740,6 +741,26 @@ class TestEnumDecide:
                                               tol=CEX_TOL)
                 pruned += counters["enum_pruned"]
         assert safe >= 5 and falsified >= 5 and pruned > 0
+
+    def test_pattern_witness_is_revalidated_on_the_callers_net(self):
+        """A counterexample found by the pattern search on the folded net
+        is re-validated on the net the caller passed: its output is that
+        net's forward output, bit for bit, not the folded net's."""
+        ds = synth_blobs(1, 30, 3, 4, 0.15)
+        net, _ = train(init_network([4, 8, 8, 3], 1, with_bn=True), ds,
+                       TrainingConfig(epochs=2, seed=1))
+        config = BabConfig(sample_count=0, enum_threshold=16, max_nodes=1)
+        found = 0
+        for sample in ds.test:
+            prop = robustness_property(sample.input, sample.label, 0.05,
+                                       Box(np.zeros(4), np.ones(4)), 3)
+            res = verify_bab(net, prop, config)
+            # sample_count=0 still tries the centre; skip what it found
+            if res.status == Status.FALSIFIED and res.stats["enum_leaves"]:
+                cex = res.counterexample
+                assert np.array_equal(cex.output, forward(net, cex.input))
+                found += 1
+        assert found >= 3
 
 
 class TestFalsify:
