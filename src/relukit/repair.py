@@ -90,13 +90,16 @@ def repair(net: SequentialNetwork, properties: list, dataset: Dataset,
             has_bn = any(isinstance(n, BatchNorm1DNode) for n in net.nodes)
             net = init_network(widths, seed=config.trainer.seed, with_bn=has_bn,
                               name=net.name)
-        net, _ = train(net, dataset, config.trainer)
+        net, metrics = train(net, dataset, config.trainer)
         entry = {"iteration": it, "statuses": statuses,
                  "counterexamples_added": added}
-        if dataset.train:
-            entry["train_accuracy"] = evaluate(net, dataset.train)[0]
-        if dataset.test:
-            entry["test_accuracy"] = evaluate(net, dataset.test)[0]
+        # train's last epoch measured the returned net on both splits; with
+        # no epoch run, metrics is empty and the net is measured here
+        for key, split in (("train_accuracy", dataset.train),
+                           ("test_accuracy", dataset.test)):
+            if split:
+                entry[key] = (metrics[-1][key] if metrics
+                              else evaluate(net, split)[0])
         iterations.append(entry)
 
     if final_statuses is None:

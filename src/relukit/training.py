@@ -6,6 +6,7 @@ batch-norm scales (slim_lambda * sum |gamma|). The literal 0-1 risk and the
 unsquared L2 regularizer are reported as metrics but never optimized.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,6 +19,10 @@ from .tensor import NonFiniteError, require_int
 
 __all__ = ["TrainingConfig", "AdamState", "init_network", "loss_and_grads",
            "adam_step", "train", "evaluate"]
+
+
+_FLOAT_FIELDS = ("learning_rate", "beta1", "beta2", "adam_eps", "l2_lambda",
+                 "slim_lambda", "bn_momentum")
 
 
 @dataclass
@@ -35,6 +40,10 @@ class TrainingConfig:
 
     def __post_init__(self):
         require_int(self, "batch_size", "epochs", "seed")
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
@@ -53,13 +62,13 @@ class TrainingConfig:
 
 @dataclass
 class AdamState:
-    """Step count, and Adam's two moments (m, v) and two scratch buffers
+    """Step count, and Adam's two moments (m, v) and one scratch buffer
     (scratch), each shaped like the parameter vector and allocated at the
     first step."""
     m: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
     t: int = 0
-    scratch: tuple = ()
+    scratch: Optional[np.ndarray] = None
 
 
 def init_network(widths: list[int], seed: int = 0, with_bn: bool = True,
@@ -105,18 +114,24 @@ def _assign_params(net: SequentialNetwork, params: dict) -> None:
         setattr(net.nodes[int(idx)], name, value)
 
 
-def _bind_flat(net: SequentialNetwork):
-    """Pack every trainable parameter of `net` into one new vector, in
-    _collect_params order, and rebind each node's arrays as views of it.
-    Returns (keys in that order, the vector)."""
-    params = _collect_params(net)
-    flat = np.concatenate([p.ravel() for p in params.values()])
+def _views(params: dict, flat: np.ndarray) -> dict:
+    """Views of the vector `flat`, one per entry of `params` and shaped like
+    it, laid out in params' order."""
     views, offset = {}, 0
     for key, p in params.items():
         views[key] = flat[offset:offset + p.size].reshape(p.shape)
         offset += p.size
-    _assign_params(net, views)
-    return list(views), flat
+    return views
+
+
+def _bind_flat(net: SequentialNetwork) -> np.ndarray:
+    """Pack every trainable parameter of `net` into one new vector, in
+    _collect_params order, rebind each node's arrays as views of it, and
+    return the vector."""
+    params = _collect_params(net)
+    flat = np.concatenate([p.ravel() for p in params.values()])
+    _assign_params(net, _views(params, flat))
+    return flat
 
 
 def _has_bn(net: SequentialNetwork) -> bool:
@@ -124,7 +139,11 @@ def _has_bn(net: SequentialNetwork) -> bool:
 
 
 def _forward_train(net: SequentialNetwork, xs: np.ndarray):
-    """Batch-statistics forward; returns (outputs, per-node cache)."""
+    """Batch-statistics forward; returns (outputs, per-node cache).
+
+    The cache holds an FC node's input, a ReLU node's mask, and a batch-norm
+    node's {"xhat", "inv_std", "mu", "var"}.
+    """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2:
         raise ValueError(f"expected a (batch, features) matrix, got shape {xs.shape}")
@@ -137,7 +156,7 @@ def _forward_train(net: SequentialNetwork, xs: np.ndarray):
     cache = []
     for node in net.nodes:
         if isinstance(node, FullyConnectedNode):
-            cache.append({"input": h})
+            cache.append(h)
             h = h @ node.weights.T + node.bias
         elif isinstance(node, BatchNorm1DNode):
             # what h.mean / h.var(axis=0) compute, bit for bit, without
@@ -152,7 +171,7 @@ def _forward_train(net: SequentialNetwork, xs: np.ndarray):
             h = node.gamma * xhat + node.beta
         else:
             mask = h > 0
-            cache.append({"mask": mask})
+            cache.append(mask)
             h = h * mask
     return h, cache
 
@@ -165,46 +184,57 @@ def _softmax_ce(logits: np.ndarray, labels: np.ndarray):
     ce = -log_p[np.arange(n), labels].sum() / n  # .mean(), bit for bit
     probs = np.exp(log_p)
     probs[np.arange(n), labels] -= 1.0
-    return ce, probs / n
+    probs /= n
+    return ce, probs
 
 
 def loss_and_grads(net: SequentialNetwork, xs: np.ndarray, labels: np.ndarray,
-                   config: TrainingConfig):
+                   config: TrainingConfig, out: Optional[np.ndarray] = None):
     """Surrogate loss and analytic gradients for every parameter.
 
     Returns (loss, grads, parts): grads keyed like _collect_params, parts the
     decomposition {"surrogate", "l2", "slim"} plus the per-BN batch stats
-    needed for running-stat updates.
+    needed for running-stat updates. Every gradient is written into a view
+    of one vector laid out in _collect_params order: `out` when given (a
+    contiguous float64 vector with one entry per parameter, overwritten),
+    else a new one.
     """
     labels = np.asarray(labels, dtype=np.int64)
     logits, cache = _forward_train(net, xs)
     n_b = xs.shape[0]
     if labels.shape[0] != n_b:
         raise ValueError("labels/batch size mismatch")
+    params = _collect_params(net)
+    size = sum(p.size for p in params.values())
+    if out is None:
+        out = np.empty(size)
+    elif (out.shape != (size,) or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a contiguous float64 vector of "
+                         f"{size} entries")
+    grads = _views(params, out)
     ce, dh = _softmax_ce(logits, labels)
     lam, lam_s = config.l2_lambda, config.slim_lambda
 
-    grads = {}
     l2_term = 0.0
     slim_term = 0.0
     for i in range(len(net.nodes) - 1, -1, -1):
         node = net.nodes[i]
         if isinstance(node, FullyConnectedNode):
-            x_in = cache[i]["input"]
-            dw = dh.T @ x_in
-            db = dh.sum(axis=0)
+            dw = grads[f"{i}.weights"]
+            np.matmul(dh.T, cache[i], out=dw)
+            np.add.reduce(dh, axis=0, out=grads[f"{i}.bias"])
             if i > 0:  # nothing reads the gradient of the input
                 dh = dh @ node.weights
             if lam > 0:
                 l2_term += 0.5 * lam / n_b * float(np.sum(node.weights ** 2))
-                dw = dw + lam / n_b * node.weights
-            grads[f"{i}.weights"] = dw
-            grads[f"{i}.bias"] = db
+                dw += lam / n_b * node.weights
         elif isinstance(node, BatchNorm1DNode):
             c = cache[i]
             xhat, inv_std = c["xhat"], c["inv_std"]
-            dgamma = (dh * xhat).sum(axis=0)
-            dbeta = dh.sum(axis=0)
+            dgamma = grads[f"{i}.gamma"]
+            np.add.reduce(dh * xhat, axis=0, out=dgamma)
+            np.add.reduce(dh, axis=0, out=grads[f"{i}.beta"])
             dxhat = dh * node.gamma
             # sums over n_b, as .mean(axis=0) takes them; xhat * S / n_b
             # would round differently
@@ -213,11 +243,9 @@ def loss_and_grads(net: SequentialNetwork, xs: np.ndarray, labels: np.ndarray,
             if lam_s > 0:
                 slim_term += lam_s * float(np.sum(np.abs(node.gamma)))
                 # L1 subgradient at 0 taken as 0
-                dgamma = dgamma + lam_s * np.sign(node.gamma)
-            grads[f"{i}.gamma"] = dgamma
-            grads[f"{i}.beta"] = dbeta
+                dgamma += lam_s * np.sign(node.gamma)
         else:
-            dh = dh * cache[i]["mask"]
+            dh = dh * cache[i]
 
     loss = ce + l2_term + slim_term
     if not np.isfinite(loss):
@@ -235,23 +263,28 @@ def adam_step(theta: np.ndarray, g: np.ndarray, state: AdamState,
     """One Adam update of the parameter vector theta, in place.
 
     theta and the moments state.m and state.v are overwritten; the gradient
-    g is only read. The moments and two scratch buffers are allocated at
-    the first step, so later steps allocate no parameter-sized array.
+    g is only read. The moments and one scratch buffer are allocated at the
+    first step, so later steps allocate no parameter-sized array.
 
-    Each elementwise operation keeps the operands and order of
-    m = b1 * m + (1 - b1) * g, v = b2 * v + ((1 - b2) * g) * g and
-    theta - (lr * m_hat) / (sqrt(v_hat) + eps), so the update equals the
-    allocating expression bit for bit.
+    The moments keep the operands and order of m = b1 * m + (1 - b1) * g and
+    v = b2 * v + ((1 - b2) * g) * g. The update takes the efficient form of
+    Kingma & Ba ("Adam", ICLR 2015, section 2):
+    theta - alpha_t * (m / (sqrt(v) + eps_hat)), with
+    alpha_t = lr * sqrt(1 - b2^t) / (1 - b1^t) and
+    eps_hat = eps * sqrt(1 - b2^t). In exact arithmetic it equals
+    theta - lr * m_hat / (sqrt(v_hat) + eps) with the bias-corrected
+    moments, but it makes no bias-correction pass over the vector.
     """
     if state.m is None:
         state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
-        state.scratch = (np.empty_like(theta), np.empty_like(theta))
+        state.scratch = np.empty_like(theta)
     state.t += 1
     t = state.t
     b1, b2 = config.beta1, config.beta2
     c1, c2 = 1 - b1 ** t, 1 - b2 ** t
-    m, v = state.m, state.v
-    a, b = state.scratch
+    alpha = config.learning_rate * math.sqrt(c2) / c1
+    eps_hat = config.adam_eps * math.sqrt(c2)
+    m, v, a = state.m, state.v, state.scratch
     np.multiply(m, b1, out=m)
     np.multiply(g, 1 - b1, out=a)
     m += a
@@ -259,12 +292,10 @@ def adam_step(theta: np.ndarray, g: np.ndarray, state: AdamState,
     np.multiply(g, 1 - b2, out=a)
     a *= g
     v += a
-    np.divide(m, c1, out=a)
-    a *= config.learning_rate
-    np.divide(v, c2, out=b)
-    np.sqrt(b, out=b)
-    b += config.adam_eps
-    a /= b
+    np.sqrt(v, out=a)
+    a += eps_hat
+    np.divide(m, a, out=a)
+    a *= alpha
     theta -= a
 
 
@@ -292,8 +323,10 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
 
     Deterministic for fixed (net, dataset, config); the input net is not
     mutated. The trained net's FC weights and biases and BN gammas and betas
-    are views of one parameter vector, which one adam_step call per batch
-    updates in place.
+    are views of one parameter vector. Each batch's gradients are written
+    into one gradient vector of the same layout, which one adam_step call
+    per batch reads to update the parameters in place; the BN running
+    statistics are also updated in place.
     """
     _require_valid(net)
     if dataset.input_dim != net.input_dim:
@@ -307,10 +340,11 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
     n = xs_all.shape[0]
     test_split = _stack_split(dataset.test) if dataset.test else None
     rng = np.random.default_rng(config.seed)
-    keys, flat = _bind_flat(net)
+    flat = _bind_flat(net)
     flat_g = np.empty_like(flat)
     state = AdamState()
     has_bn = _has_bn(net)
+    mom = config.bn_momentum
 
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
@@ -323,16 +357,15 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
         for b, start in enumerate(starts):
             idx = perm[start:start + config.batch_size] if b < len(starts) - 1 \
                 else perm[start:]
-            loss, grads, parts = loss_and_grads(net, xs_all[idx], ys_all[idx],
-                                                config)
-            np.concatenate([grads[k].ravel() for k in keys], out=flat_g)
+            loss, _, parts = loss_and_grads(net, xs_all[idx], ys_all[idx],
+                                            config, out=flat_g)
             adam_step(flat, flat_g, state, config)
             for i, (mu, var) in parts["bn_stats"].items():
                 bn = net.nodes[i]
-                bn.running_mean = ((1 - config.bn_momentum) * bn.running_mean
-                                   + config.bn_momentum * mu)
-                bn.running_var = ((1 - config.bn_momentum) * bn.running_var
-                                  + config.bn_momentum * var)
+                bn.running_mean *= 1 - mom
+                bn.running_mean += mom * mu
+                bn.running_var *= 1 - mom
+                bn.running_var += mom * var
             epoch_loss += loss
             for key in epoch_parts:
                 epoch_parts[key] += parts[key]

@@ -135,9 +135,11 @@ def finite_diff_grads(loss_fn, params, h=1e-5):
 
 def reference_train(net, dataset, config):
     """The training loop as first written, kept as the reference that
-    relukit.training.train must match bit for bit: per-key allocating Adam,
-    the parameters re-collected and re-assigned every step, batch-norm
-    statistics from .mean / .var, and the input gradient computed too.
+    relukit.training.train must match bit for bit: per-key allocating Adam
+    in Kingma & Ba's efficient form (the bias corrections folded into
+    alpha_t and eps_hat), the parameters re-collected and re-assigned every
+    step, batch-norm statistics from .mean / .var, and the input gradient
+    computed too.
     Returns (trained_net, per-epoch metrics) like train."""
     from relukit.network import BatchNorm1DNode, FullyConnectedNode
 
@@ -252,12 +254,12 @@ def reference_train(net, dataset, config):
                 m = b1 * m + (1 - b1) * g
                 v = b2 * v + (1 - b2) * g * g
                 moments_m[key], moments_v[key] = m, v
-                m_hat = m / (1 - b1 ** t)
-                v_hat = v / (1 - b2 ** t)
+                c1, c2 = 1 - b1 ** t, 1 - b2 ** t
+                alpha_t = config.learning_rate * np.sqrt(c2) / c1
+                eps_hat = config.adam_eps * np.sqrt(c2)
                 idx_node, name = key.split(".")
                 setattr(net.nodes[int(idx_node)], name,
-                        theta - config.learning_rate * m_hat
-                        / (np.sqrt(v_hat) + config.adam_eps))
+                        theta - alpha_t * (m / (np.sqrt(v) + eps_hat)))
             for i, (mu, var) in bn_stats.items():
                 bn = net.nodes[i]
                 bn.running_mean = ((1 - config.bn_momentum) * bn.running_mean

@@ -96,6 +96,18 @@ class TestTrain:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_non_finite_field_exits_three(self, tmp_path, capsys):
+        # json accepts the NaN literal, so a config file can supply it
+        cfg = tmp_path / "train.json"
+        cfg.write_text('{"dataset": %s, "net": {"hidden": [4]}, '
+                       '"train": {"epochs": 2, "learning_rate": NaN}}'
+                       % json.dumps(SYNTH))
+        out = tmp_path / "m.json"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        assert ("config.train: learning_rate must be finite, got nan"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("field,value,shown", [
         ("hidden", [4.7], 4.7), ("hidden", [True], True),
         ("init_seed", 1.9, 1.9)],

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,12 @@ from relukit.datasets import synth_blobs
 from relukit.network import forward
 from relukit.properties import Box, Property, LinearAtom, robustness_property
 from relukit.repair import RepairConfig, repair
-from relukit.training import TrainingConfig, init_network, train
+from relukit.training import TrainingConfig, evaluate, init_network, train
 from relukit.training import _collect_params
 from relukit.verifier import BabConfig, Status, verify_bab
+
+# the module, which the package's `repair` function shadows as an attribute
+repair_module = importlib.import_module("relukit.repair")
 
 
 def trained_blob_net(seed=1, epochs=40):
@@ -122,6 +127,43 @@ class TestBookkeeping:
         new = ds.train[n_before:]
         assert all(s.label == label for s in new)
         assert all(prop.input_box.contains(s.input) for s in new)
+
+
+class TestReportAccuracies:
+    @pytest.mark.parametrize("epochs", [0, 3])
+    def test_each_entry_holds_the_retrained_nets_accuracies(
+            self, monkeypatch, epochs):
+        # An iteration reports the accuracies of the net its retrain
+        # returned, on the splits as they stood then, equal to what
+        # evaluate gives; repair runs evaluate only when no epoch ran.
+        retrained, evaluated = [], []
+        inner_train = repair_module.train
+
+        def recording_train(net, dataset, config):
+            out = inner_train(net, dataset, config)
+            retrained.append((out[0].copy(), list(dataset.train),
+                              list(dataset.test)))
+            return out
+
+        def counting_evaluate(net, samples):
+            evaluated.append(len(samples))
+            return evaluate(net, samples)
+        monkeypatch.setattr(repair_module, "train", recording_train)
+        monkeypatch.setattr(repair_module, "evaluate", counting_evaluate)
+        ds = synth_blobs(5, 30, 2, 2, 0.1)
+        net = init_network([2, 6, 2], seed=1)
+        props = [robust_query(ds, i, 0.05) for i in range(4)]
+        cfg = RepairConfig(max_iterations=3,
+                           counterexamples_per_property_per_round=2,
+                           trainer=TrainingConfig(epochs=epochs, batch_size=16,
+                                                  learning_rate=0.01, seed=1))
+        _, report = repair(net, props, ds, cfg)
+        entries = [e for e in report["iterations"] if "train_accuracy" in e]
+        assert len(entries) == len(retrained) >= 1
+        for entry, (out, train_split, test_split) in zip(entries, retrained):
+            assert entry["train_accuracy"] == evaluate(out, train_split)[0]
+            assert entry["test_accuracy"] == evaluate(out, test_split)[0]
+        assert len(evaluated) == (0 if epochs else 2 * len(retrained))
 
 
 class TestRepairScenario:

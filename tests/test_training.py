@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,13 +157,62 @@ class TestAdamStep:
             m_obj, v_obj = state.m, state.v
             m = cfg.beta1 * m + (1 - cfg.beta1) * g
             v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-            expect = expect - cfg.learning_rate * (m / (1 - cfg.beta1 ** t)) / (
-                np.sqrt(v / (1 - cfg.beta2 ** t)) + cfg.adam_eps)
+            c1, c2 = 1 - cfg.beta1 ** t, 1 - cfg.beta2 ** t
+            alpha_t = cfg.learning_rate * np.sqrt(c2) / c1
+            eps_hat = cfg.adam_eps * np.sqrt(c2)
+            expect = expect - alpha_t * (m / (np.sqrt(v) + eps_hat))
             assert np.array_equal(g, g_before)
             assert np.array_equal(state.m, m)
             assert np.array_equal(state.v, v)
             assert np.array_equal(theta, expect)
             assert state.t == t
+
+    def test_no_parameter_sized_allocation_after_the_first_step(self):
+        theta, g = np.zeros(50_000), np.full(50_000, 0.5)
+        state, cfg = AdamState(), TrainingConfig()
+        adam_step(theta, g, state, cfg)
+        tracemalloc.start()
+        try:
+            adam_step(theta, g, state, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < theta.nbytes // 10
+
+    @pytest.mark.parametrize("lr, b1, b2, eps", [
+        (0.001, 0.9, 0.999, 1e-8), (0.01, 0.8, 0.99, 1e-6),
+        (0.05, 0.5, 0.9, 1e-3)])
+    def test_matches_textbook_update(self, lr, b1, b2, eps):
+        # The efficient form is exact in real arithmetic; in floating point
+        # it stays within a few ulps of the bias-corrected textbook update.
+        rng = np.random.default_rng(21)
+        cfg = TrainingConfig(learning_rate=lr, beta1=b1, beta2=b2,
+                             adam_eps=eps)
+        theta = rng.normal(size=200)
+        state = AdamState()
+        expect, m, v = theta.copy(), np.zeros(200), np.zeros(200)
+        for t in range(1, 51):
+            g = rng.normal(size=200) * rng.choice([1e-6, 1e-3, 1.0], size=200)
+            adam_step(theta, g, state, cfg)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            m_hat, v_hat = m / (1 - b1 ** t), v / (1 - b2 ** t)
+            expect = expect - lr * m_hat / (np.sqrt(v_hat) + eps)
+            np.testing.assert_allclose(theta, expect, rtol=1e-12, atol=0)
+
+
+class TestTrainingConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("adam_eps", float("nan")), ("adam_eps", float("inf")),
+        ("l2_lambda", float("nan")), ("l2_lambda", float("inf")),
+        ("slim_lambda", float("nan")), ("slim_lambda", float("inf")),
+        ("beta1", float("nan")), ("beta2", float("-inf")),
+        ("bn_momentum", float("nan"))])
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"{field} must be finite, got {value!r}"):
+            TrainingConfig(**{field: value})
 
 
 class TestTrain:
@@ -315,6 +366,69 @@ class TestTrainAliasing:
         train(net, ds, cfg)
         assert calls == {"loss_and_grads": 3 * batches_per_epoch,
                          "adam_step": 3 * batches_per_epoch}
+
+
+    def test_gradients_written_into_one_vector_handed_to_adam(
+            self, monkeypatch):
+        # train preallocates one gradient vector; every batch's gradients
+        # are written into views of it, and adam_step reads that vector.
+        seen = []
+        inner_grads = relukit.training.loss_and_grads
+        inner_adam = relukit.training.adam_step
+
+        def grads_wrapper(*args, **kwargs):
+            result = inner_grads(*args, **kwargs)
+            seen.append(("grads", result[1]))
+            return result
+
+        def adam_wrapper(theta, g, state, config):
+            seen.append(("adam", g))
+            return inner_adam(theta, g, state, config)
+        monkeypatch.setattr(relukit.training, "loss_and_grads", grads_wrapper)
+        monkeypatch.setattr(relukit.training, "adam_step", adam_wrapper)
+        net, ds, cfg = _train_case(True, epochs=2)
+        trained, _ = train(net, ds, cfg)
+        vectors = [g for kind, g in seen if kind == "adam"]
+        assert len(vectors) == 10
+        assert all(g is vectors[0] for g in vectors)
+        theta = trained.nodes[0].weights.base
+        assert not np.shares_memory(vectors[0], theta)
+        for kind, grads in seen:
+            if kind == "grads":
+                assert all(np.shares_memory(arr, vectors[0])
+                           for arr in grads.values())
+
+
+class TestLossAndGradsOut:
+    @pytest.mark.parametrize("with_bn, overrides", [
+        (True, {}), (False, {}), (False, {"l2_lambda": 0.3}),
+        (True, {"l2_lambda": 0.1, "slim_lambda": 0.05})])
+    def test_out_holds_the_gradients_in_param_order(self, with_bn, overrides):
+        net = random_net([5, 9, 7, 6, 3], seed=11, with_bn=with_bn)
+        cfg = TrainingConfig(**overrides)
+        rng = np.random.default_rng(5)
+        xs, ys = rng.normal(size=(8, 5)), rng.integers(0, 3, size=8)
+        loss, grads, parts = loss_and_grads(net, xs, ys, cfg)
+        out = np.full(sum(p.size for p in _collect_params(net).values()),
+                      np.nan)
+        loss_out, grads_out, _ = loss_and_grads(net, xs, ys, cfg, out=out)
+        assert loss_out == loss
+        assert list(grads_out) == list(_collect_params(net))
+        assert np.array_equal(out, np.concatenate(
+            [grads[k].ravel() for k in _collect_params(net)]))
+        for key, arr in grads_out.items():
+            assert np.shares_memory(arr, out)
+            assert np.array_equal(arr, grads[key])
+
+    @pytest.mark.parametrize("out", [
+        np.zeros(10), np.zeros(84, dtype=np.float32), np.zeros(168)[::2]],
+        ids=["size", "dtype", "strided"])
+    def test_bad_out_rejected(self, out):
+        net = random_net([5, 9, 3], seed=1, with_bn=False)
+        assert sum(p.size for p in _collect_params(net).values()) == 84
+        with pytest.raises(ValueError, match="out must be"):
+            loss_and_grads(net, np.zeros((2, 5)), np.zeros(2, dtype=int),
+                           TrainingConfig(), out=out)
 
 
 class TestEvaluate:
