@@ -13,6 +13,8 @@ from typing import Optional
 
 import numpy as np
 
+from .tensor import as_int
+
 __all__ = ["Box", "LinearAtom", "Property", "PropertyParseError",
            "parse_smtlib", "emit_smtlib", "robustness_property",
            "property_equal", "DNF_CAP"]
@@ -439,6 +441,7 @@ def robustness_property(x0, label: int, epsilon: float, domain_box: Box,
     One disjunct per competitor class j != label, each the single atom
     Y_label - Y_j <= 0 (ties count as violations).
     """
+    label = as_int(label, "label")
     x0 = np.asarray(x0, dtype=np.float64)
     if not domain_box.contains(x0):
         raise ValueError("reference input lies outside the domain box")
@@ -457,5 +460,5 @@ def robustness_property(x0, label: int, epsilon: float, domain_box: Box,
         coeffs[j] = -1.0
         disjuncts.append([LinearAtom(coeffs, 0.0)])
     return Property(Box(lo, hi), disjuncts, num_outputs=num_classes,
-                    source={"type": "robustness", "label": int(label),
+                    source={"type": "robustness", "label": label,
                             "epsilon": float(epsilon), "x0": x0.tolist()})

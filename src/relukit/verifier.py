@@ -32,6 +32,7 @@ CEX_TOL = 1e-7
 # How far an LP point may miss the box or the rows: scipy's linprog check,
 # sqrt of its default tol 1e-9, times 10
 LP_TOL = np.sqrt(1e-9) * 10
+DESCENT_STEPS = 8  # sign-gradient steps of verify_bab's root descent
 _thread = threading.local()  # each thread's HiGHS solver and fold memo
 
 
@@ -67,9 +68,12 @@ class VerificationResult:
 @dataclass
 class BabConfig:
     """Limits and seeds of verify_bab. time_budget (seconds) is checked
-    before each node and at each node of the exact pattern search; one LP
-    or one sampling batch already running is not interrupted, so a verdict
-    can overrun the budget by that much."""
+    before each node and at each node of the exact pattern search; one LP,
+    one sampling batch or the root descent's DESCENT_STEPS steps already
+    running are not interrupted, so a verdict can overrun the budget by that
+    much. sample_count uniform points, with the centre, are tried at each
+    node; a positive sample_count also enables the root descent from those
+    points, and 0 turns it off."""
     max_nodes: int = 100000
     min_box_width: float = 1e-6
     enum_threshold: int = 12
@@ -277,10 +281,50 @@ def _falsify(net, folded, prop, compiled, points) -> Optional[Counterexample]:
     return _validated_cex(net, prop, points[first[0]]) if first.size else None
 
 
+def _descend(net, folded, prop, compiled, alive, box, points, counters):
+    """Sign-gradient descent on `folded`, the fold of `net`, from each of
+    `points` towards each alive disjunct of the compiled violation. Each of
+    DESCENT_STEPS steps moves a point by an eighth of the box width against
+    the sign of the input gradient of the disjunct's worst atom margin
+    max_k(rows_k @ y - rhs_k), then clips it to the box. The gradient is
+    _back_substitute's loop with each point's ReLU mask in place of the
+    relaxation. After each step, the points with margin <= 0 are
+    re-validated on `net`, disjunct-major; the first that holds is returned,
+    else None. counters["descent_steps"] counts the steps taken."""
+    rows, rhs, starts = compiled
+    fcs = [n for n in folded.nodes if isinstance(n, FullyConnectedNode)]
+    atom_of = np.repeat(np.arange(len(starts)),
+                        np.diff(starts, append=len(rhs)))
+    own = np.repeat(atom_of == np.array(alive)[:, None], len(points), axis=0)
+    x = np.tile(points, (len(alive), 1))
+    delta = (box.hi - box.lo) / 8.0
+    for step in range(DESCENT_STEPS + 1):
+        h, masks = x, []
+        for node in fcs[:-1]:
+            h = h @ node.weights.T + node.bias
+            masks.append(h > 0.0)
+            h = np.maximum(h, 0.0)
+        y = h @ fcs[-1].weights.T + fcs[-1].bias
+        margins = np.where(own, y @ rows.T - rhs, -np.inf)
+        if step:
+            for i in np.flatnonzero(margins.max(axis=1) <= 0.0):
+                cex = _validated_cex(net, prop, x[i])
+                if cex is not None:
+                    return cex
+        if step == DESCENT_STEPS:
+            return None
+        counters["descent_steps"] += 1
+        g = rows[margins.argmax(axis=1)] @ fcs[-1].weights
+        for node, mask in zip(reversed(fcs[:-1]), reversed(masks)):
+            g = (g * mask) @ node.weights
+        x = np.clip(x - delta * np.sign(g), box.lo, box.hi)
+
+
 def verify_ibp(net: SequentialNetwork, prop: Property,
                sample_count: int = 32, seed: int = 0) -> VerificationResult:
     """The root node of verify_bab: refutation by the bounding step, a quick
-    sampling falsification, and, when no ReLU is unstable, the exact
+    sampling falsification followed by the root descent from its points
+    (when sample_count > 0), and, when no ReLU is unstable, the exact
     decision of the one activation pattern (an interval test per disjunct,
     then one LP for each disjunct that test leaves open)."""
     return verify_bab(net, prop, BabConfig(max_nodes=1, enum_threshold=0,
@@ -515,16 +559,19 @@ def verify_bab(net: SequentialNetwork, prop: Property,
     """Branch-and-bound decision over the input box.
 
     Per node: refutation by the bounding step (_bound), concrete
-    sampling, the exact depth-first pattern search of _enum_decide when few
-    ReLUs are unstable, else split the widest input dimension at its
-    midpoint. Verified only when every node is refuted or exactly decided
-    safe; Falsified only with a concretely re-validated counterexample. The
-    time budget is checked before each node and at each node of the pattern
-    search; running out gives Unknown with reason "time budget exhausted".
-    stats counts nodes, LPs, total patterns reached (enum_leaves) and
-    pattern subtrees pruned (enum_pruned), and gives root_unstable, the
-    root node's unstable ReLU count (what root_unstable_count returns); the
-    root is bounded before any budget check, so every result has it.
+    sampling, at the root only a sign-gradient descent from the sampled
+    points (_descend, when sample_count > 0), the exact depth-first pattern
+    search of _enum_decide when few ReLUs are unstable, else split the
+    widest input dimension at its midpoint. Verified only when every node
+    is refuted or exactly decided safe; Falsified only with a concretely
+    re-validated counterexample, which the descent can give but never a
+    Verified. The time budget is checked before each node and at each node
+    of the pattern search; running out gives Unknown with reason "time
+    budget exhausted". stats counts nodes, LPs, total patterns reached
+    (enum_leaves), pattern subtrees pruned (enum_pruned) and the descent's
+    steps (descent_steps, 0 when it did not run), and gives root_unstable,
+    the root node's unstable ReLU count (what root_unstable_count returns);
+    the root is bounded before any budget check, so every result has it.
     """
     if config is None:
         config = BabConfig()
@@ -532,7 +579,8 @@ def verify_bab(net: SequentialNetwork, prop: Property,
     folded = _folded(net)
     compiled = _compile(prop.violation)
     rng = None  # created by the first node that samples
-    counters = {"lp_calls": 0, "enum_leaves": 0, "enum_pruned": 0}
+    counters = {"lp_calls": 0, "enum_leaves": 0, "enum_pruned": 0,
+                "descent_steps": 0}
     worklist = [prop.input_box]
     bounds = _bound(folded, prop.input_box, compiled)
     root_unstable = bounds[2]
@@ -562,8 +610,11 @@ def verify_bab(net: SequentialNetwork, prop: Property,
 
         if rng is None:
             rng = np.random.default_rng(config.seed)
-        cex = _falsify(net, folded, prop, compiled,
-                       _sample_points(box, config.sample_count, rng))
+        points = _sample_points(box, config.sample_count, rng)
+        cex = _falsify(net, folded, prop, compiled, points)
+        if cex is None and nodes == 1 and config.sample_count:
+            cex = _descend(net, folded, prop, compiled, alive, box, points,
+                           counters)
         if cex is not None:
             return result(Status.FALSIFIED, cex)
 

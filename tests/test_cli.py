@@ -8,7 +8,8 @@ from relukit.datasets import synth_blobs
 from relukit.experiment import robustness_queries
 from relukit.model_io import load_model, save_model
 from relukit.training import init_network
-from relukit.verifier import root_unstable_count
+from relukit.verifier import (BabConfig, root_unstable_count, verify_bab,
+                              verify_ibp)
 
 
 SYNTH = {"synth": {"seed": 1, "n_per_class": 40, "num_classes": 2,
@@ -244,6 +245,22 @@ class TestVerify:
         prop = robustness_queries(dataset, dataset.test, [3], 0.05, "")[0]
         assert json.loads(out.read_text())["stats"]["root_unstable"] == \
             root_unstable_count(load_model(trained_model), prop.input_box)
+
+    @pytest.mark.parametrize("engine", ["bab", "ibp"])
+    def test_out_records_descent_steps(self, tmp_path, trained_model,
+                                       train_cfg, engine):
+        out = tmp_path / "result.json"
+        main(["verify", "--model", trained_model, "--robustness",
+              "--config", train_cfg, "--sample-index", "5",
+              "--epsilon", "0.2", "--engine", engine, "--out", str(out)])
+        dataset = synth_blobs(**SYNTH["synth"])
+        prop = robustness_queries(dataset, dataset.test, [5], 0.2, "")[0]
+        net = load_model(trained_model)
+        res = (verify_bab(net, prop, BabConfig()) if engine == "bab"
+               else verify_ibp(net, prop))
+        steps = json.loads(out.read_text())["stats"]["descent_steps"]
+        # the descent runs at this query's root and misses
+        assert steps == res.stats["descent_steps"] > 0
 
     def test_invalid_bn_free_model_exits_three(self, tmp_path, train_cfg,
                                                capsys):

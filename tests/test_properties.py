@@ -155,6 +155,17 @@ class TestRobustnessProperty:
         assert p.source["type"] == "robustness"
         assert p.source["label"] == 2
 
+    @pytest.mark.parametrize("label", [1.5, "1", True, None])
+    def test_non_integer_label_rejected(self, label):
+        with pytest.raises(ValueError, match="label must be an integer"):
+            robustness_property(np.array([0.5, 0.5, 0.5]), label, 0.1,
+                                self.DOMAIN, 3)
+
+    def test_numpy_integer_label_accepted(self):
+        p = robustness_property(np.array([0.5, 0.5, 0.5]), np.int64(1), 0.1,
+                                self.DOMAIN, 3)
+        assert p.source["label"] == 1 and type(p.source["label"]) is int
+
 
 class TestModelInvariants:
     def test_box_rejects_inverted_bounds(self):

@@ -141,15 +141,18 @@ class TestAdamStep:
     def test_updates_params_and_moments_in_place_and_reads_grads(self):
         # The docstring's contract: the vector and the moments are
         # overwritten in place with the allocating update's exact values;
-        # the gradient stays.
+        # the gradient stays. On these 64 entries and 3 steps the
+        # bias-corrected textbook update rounds differently, so the test
+        # tells the two forms apart.
         rng = np.random.default_rng(8)
         cfg = TrainingConfig(learning_rate=0.01, beta1=0.8, beta2=0.99,
                              adam_eps=1e-6)
-        theta = rng.normal(size=12)
+        theta = rng.normal(size=64)
         state = AdamState()
-        expect, m, v = theta.copy(), np.zeros(12), np.zeros(12)
+        expect, m, v = theta.copy(), np.zeros(64), np.zeros(64)
+        textbook = theta.copy()
         for t in (1, 2, 3):
-            g = rng.normal(size=12)
+            g = rng.normal(size=64)
             g_before = g.copy()
             assert adam_step(theta, g, state, cfg) is None
             if t > 1:
@@ -160,12 +163,15 @@ class TestAdamStep:
             c1, c2 = 1 - cfg.beta1 ** t, 1 - cfg.beta2 ** t
             alpha_t = cfg.learning_rate * np.sqrt(c2) / c1
             eps_hat = cfg.adam_eps * np.sqrt(c2)
+            textbook = textbook - (cfg.learning_rate * (m / c1)) / (
+                np.sqrt(v / c2) + cfg.adam_eps)
             expect = expect - alpha_t * (m / (np.sqrt(v) + eps_hat))
             assert np.array_equal(g, g_before)
             assert np.array_equal(state.m, m)
             assert np.array_equal(state.v, v)
             assert np.array_equal(theta, expect)
             assert state.t == t
+        assert not np.array_equal(textbook, expect)
 
     def test_no_parameter_sized_allocation_after_the_first_step(self):
         theta, g = np.zeros(50_000), np.full(50_000, 0.5)

@@ -51,11 +51,12 @@ def fc_layers(net):
             if isinstance(n, FullyConnectedNode)]
 
 
-def tiny_instance(seed, widths=(2, 4, 4, 2)):
-    """Random folded net (by default 2 inputs, 8 hidden ReLUs) plus a
-    robustness query on a random sub-box of the unit cube."""
+def tiny_instance(seed, widths=(2, 4, 4, 2), with_bn=False):
+    """Random net, folded unless with_bn (by default 2 inputs, 8 hidden
+    ReLUs), plus a robustness query on a random sub-box of the unit
+    cube."""
     rng = np.random.default_rng(seed)
-    net = random_net(widths, seed=seed, with_bn=False, scale=1.5)
+    net = random_net(widths, seed=seed, with_bn=with_bn, scale=1.5)
     d = widths[0]
     x0 = rng.uniform(0.2, 0.8, size=d)
     label = int(np.argmax(forward(net, x0)))
@@ -785,6 +786,128 @@ class TestFalsify:
         assert 0 < found < 30
 
 
+def corner_net(d=10):
+    """Y_0 = relu(s - d/2) - relu(d/2 - s) = s - d/2, with s the sum of the
+    d inputs; both ReLUs are unstable on [0, 1]^d."""
+    return SequentialNetwork("corner", d, [
+        FullyConnectedNode(np.vstack([np.ones(d), -np.ones(d)]),
+                           [-d / 2, d / 2]),
+        ReLUNode(2), FullyConnectedNode([[1.0, -1.0]], [0.0])])
+
+
+def descent_instance(seed):
+    """A batch-norm net with 4 hidden ReLUs and a robustness query."""
+    return tiny_instance(seed, (3, 4, 3), with_bn=True)
+
+
+def by_descent(res):
+    """Whether the root descent gave this result's counterexample."""
+    return (res.status == Status.FALSIFIED and res.stats["nodes"] == 1
+            and res.stats["descent_steps"] > 0
+            and res.stats["enum_leaves"] == res.stats["lp_calls"] == 0)
+
+
+class TestDescent:
+    def test_reaches_a_region_the_samples_miss(self):
+        # Y_0 >= 4.75 only where s >= 9.75: a corner of the 10-cube with
+        # volume 0.25^10 / 10!, which no seeded sample hits
+        net = corner_net()
+        prop = Property(Box(np.zeros(10), np.ones(10)),
+                        violation([-1.0], -4.75), 1)
+        points = verifier._sample_points(prop.input_box, 32,
+                                         np.random.default_rng(0))
+        assert verifier._falsify(net, net, prop,
+                                 verifier._compile(prop.violation),
+                                 points) is None
+        res = verify_bab(net, prop, BabConfig(sample_count=32, seed=0))
+        assert res.status == Status.FALSIFIED
+        assert res.stats["lp_calls"] == 0 and res.stats["nodes"] == 1
+        assert 0 < res.stats["descent_steps"] <= verifier.DESCENT_STEPS
+        assert by_descent(res)
+        x = res.counterexample.input
+        assert prop.input_box.contains(x) and x.sum() >= 9.75
+        # without samples there is no descent: the pattern search runs LPs
+        exact = verify_bab(net, prop, BabConfig(sample_count=0))
+        assert exact.status == Status.FALSIFIED
+        assert exact.stats["lp_calls"] > 0
+        assert exact.stats["descent_steps"] == 0
+
+    def test_witnesses_agree_with_the_exact_oracle(self):
+        found = 0
+        for seed in range(60):
+            net, prop = descent_instance(seed)
+            box = prop.input_box
+            res = verify_bab(net, prop, BabConfig(seed=seed, sample_count=2))
+            assert res.stats["descent_steps"] <= verifier.DESCENT_STEPS
+            # against no samples and so no descent, at the root alone and
+            # with the full search, verdicts move only Unknown -> Falsified
+            for budget in ({}, {"max_nodes": 1, "enum_threshold": 0}):
+                new = verify_bab(net, prop, BabConfig(
+                    seed=seed, sample_count=2, **budget)).status
+                old = verify_bab(net, prop, BabConfig(
+                    seed=seed, sample_count=0, **budget)).status
+                assert new == old or (old == Status.UNKNOWN
+                                      and new == Status.FALSIFIED), seed
+            if not by_descent(res):
+                continue
+            found += 1
+            cex = res.counterexample
+            assert box.contains(cex.input)
+            assert np.array_equal(cex.output, forward(net, cex.input))
+            assert satisfies_disjunct(cex.output,
+                                      prop.violation[cex.disjunct],
+                                      tol=CEX_TOL)
+            assert exact_pattern_verdict(
+                fc_layers(fold_batchnorm(net)), box.lo, box.hi,
+                [[(a.coeffs, a.rhs) for a in d] for d in prop.violation]), \
+                seed
+        assert found >= 5
+
+    def test_runs_at_the_root_only(self):
+        split = 0
+        for seed in range(60):
+            net, prop = descent_instance(seed)
+            res = verify_bab(net, prop, BabConfig(
+                seed=seed, sample_count=2, enum_threshold=0, max_nodes=50))
+            if res.stats["nodes"] > 1:  # the root descent missed
+                split += 1
+                assert res.stats["descent_steps"] == verifier.DESCENT_STEPS
+        assert split >= 3
+
+    def test_same_seed_same_counterexample(self):
+        runs = [(corner_net(), Property(Box(np.zeros(10), np.ones(10)),
+                                        violation([-1.0], -4.75), 1), 0)]
+        runs += [(*descent_instance(seed), seed) for seed in range(20)]
+        decided = 0
+        for net, prop, seed in runs:
+            config = BabConfig(seed=seed, sample_count=2)
+            first = verify_bab(net, prop, config)
+            decided += by_descent(first)
+            assert result_facts(first) == \
+                result_facts(verify_bab(net, prop, config))
+        assert decided >= 3
+
+    def test_no_descent_without_samples(self):
+        for seed in range(10):
+            net, prop = descent_instance(seed)
+            for budget in ({}, {"max_nodes": 1, "enum_threshold": 0}):
+                res = verify_bab(net, prop, BabConfig(
+                    seed=seed, sample_count=0, **budget))
+                assert res.stats["descent_steps"] == 0
+            assert "descent_steps" in verify_ibp(net, prop).stats
+
+    def test_every_result_counts_descent_steps(self):
+        net = corner_net()
+        box = Box(np.zeros(10), np.ones(10))
+        refuted = verify_bab(net, Property(box, violation([-1.0], -6.0), 1))
+        assert refuted.status == Status.VERIFIED
+        out_of_time = verify_bab(net, Property(box, violation([-1.0], -4.75),
+                                               1), BabConfig(time_budget=1e-9))
+        assert out_of_time.status == Status.UNKNOWN
+        assert refuted.stats["descent_steps"] == 0
+        assert out_of_time.stats["descent_steps"] == 0
+
+
 class TestFalsifySample:
     def test_empty_violation_region(self):
         prop = Property(Box([0.0], [1.0]), violation([-1.0], -2.0), 1)
@@ -957,6 +1080,8 @@ class TestFoldMemo:
                        for b in params)
 
     def test_verifier_never_mutates_the_fold(self, monkeypatch):
+        # With samples the root descent runs on the fold and decides these
+        # queries first; without them the exact pattern search runs on it.
         enum_calls = []
         enum_decide = verifier._enum_decide
 
@@ -964,11 +1089,19 @@ class TestFoldMemo:
             enum_calls.append(1)
             return enum_decide(*args)
         monkeypatch.setattr(verifier, "_enum_decide", counting)
-        config = BabConfig(max_nodes=50, enum_threshold=20, sample_count=4)
-        for seed in range(6):
-            net = random_net((3, 8, 6, 3), seed=seed, scale=1.5)
-            for q in range(4):
-                verify_bab(net, self.query(net, q, eps=0.3), config)
-            assert fold_arrays(verifier._thread.fold[1]) == \
-                fold_arrays(fold_batchnorm(net))
-        assert enum_calls
+        for sample_count in (4, 0):
+            config = BabConfig(max_nodes=50, enum_threshold=20,
+                               sample_count=sample_count)
+            enum_calls.clear()
+            steps = 0
+            for seed in range(6):
+                net = random_net((3, 8, 6, 3), seed=seed, scale=1.5)
+                for q in range(4):
+                    res = verify_bab(net, self.query(net, q, eps=0.3), config)
+                    steps += res.stats["descent_steps"]
+                assert fold_arrays(verifier._thread.fold[1]) == \
+                    fold_arrays(fold_batchnorm(net))
+            if sample_count:
+                assert steps
+            else:
+                assert enum_calls and steps == 0
