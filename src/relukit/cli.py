@@ -124,10 +124,6 @@ def _sample_property(args):
 def cmd_verify(args) -> int:
     net = load_model(args.model)
     prop = _build_property(args, net)
-    if prop.input_box.dim != net.input_dim or prop.num_outputs != net.output_dim:
-        raise ConfigError(
-            f"property dims ({prop.input_box.dim} in, {prop.num_outputs} out) "
-            f"do not match model ({net.input_dim} in, {net.output_dim} out)")
     bab_cfg = bab_config_from(_override({}, time_budget=args.timeout,
                                         max_nodes=args.max_nodes,
                                         seed=args.seed), "verify")

@@ -38,8 +38,8 @@ class Dataset:
 
     def _check(self, sample: Sample) -> None:
         if sample.input.shape != (self.input_dim,):
-            raise ValueError(f"sample dimension {sample.input.shape[0]} != "
-                             f"dataset input_dim {self.input_dim}")
+            raise ValueError(f"sample input of shape {sample.input.shape}, "
+                             f"expected dimension ({self.input_dim},)")
         if not 0 <= sample.label < self.num_classes:
             raise ValueError(f"label {sample.label} out of range "
                              f"[0, {self.num_classes})")

@@ -1,5 +1,6 @@
-"""Native verification engine: back-substituted linear bounds plus branch
-and bound with exact activation-pattern leaf decisions.
+"""Native verification engine: back-substituted linear bounds plus one
+branch-and-bound tree over input boxes and ReLU phases, with an exact LP
+decision at each leaf.
 
 Networks are batch-norm-folded before analysis, so the engine only ever sees
 alternating fully-connected and ReLU layers. Verdicts are violation-oriented:
@@ -32,6 +33,9 @@ CEX_TOL = 1e-7
 # How far an LP point may miss the box or the rows: scipy's linprog check,
 # sqrt of its default tol 1e-9, times 10
 LP_TOL = np.sqrt(1e-9) * 10
+# How far rounding alone may push lo above hi: where the net is constant, the
+# interval and back-substituted bounds are one value rounded two ways
+EMPTY_TOL = 1e-9
 DESCENT_STEPS = 8  # sign-gradient steps of verify_bab's root descent
 _thread = threading.local()  # each thread's HiGHS solver and fold memo
 
@@ -67,13 +71,13 @@ class VerificationResult:
 
 @dataclass
 class BabConfig:
-    """Limits and seeds of verify_bab. time_budget (seconds) is checked
-    before each node and at each node of the exact pattern search; one LP,
-    one sampling batch or the root descent's DESCENT_STEPS steps already
-    running are not interrupted, so a verdict can overrun the budget by that
-    much. sample_count uniform points, with the centre, are tried at each
-    node; a positive sample_count also enables the root descent from those
-    points, and 0 turns it off."""
+    """Limits and seeds of verify_bab. max_nodes counts every node, phase
+    splits too; time_budget (seconds) is checked before each node, so one
+    leaf's LPs, one sampling batch or the root descent's DESCENT_STEPS steps
+    can overrun it. A node with 1 to enum_threshold unstable ReLUs branches
+    on a ReLU phase. sample_count uniform points, with the centre, are tried
+    at each node with a new box, and the root descent starts from them;
+    0 turns the descent off."""
     max_nodes: int = 100000
     min_box_width: float = 1e-6
     enum_threshold: int = 12
@@ -206,7 +210,7 @@ def _compile(violation):
     return rows, rhs, np.cumsum([0] + [len(d) for d in violation[:-1]])
 
 
-def _bound(net: SequentialNetwork, box: Box, compiled=None):
+def _bound(net: SequentialNetwork, box: Box, compiled=None, known=None):
     """The bounding step over a folded network, shared by every engine.
 
     Returns (pre_lo, pre_hi, unstable, alive): bounds of every hidden
@@ -218,16 +222,18 @@ def _bound(net: SequentialNetwork, box: Box, compiled=None):
     its interval step from the previous layer's bounds and the back-
     substitution (_back_substitute) of its rows and their negations through
     the ReLU relaxations of the layers before it, so they are never looser
-    than interval_forward's. A disjunct is refuted when one of its atoms
-    coeffs @ y <= rhs is: its closed-form minimum over the output's interval
-    step, or the back-substituted lower bound of coeffs @ y itself, exceeds
-    rhs. The interval test runs first; one backward pass of every atom runs
-    only when it leaves a disjunct open. Without a violation, the last
-    hidden layer's relaxation, which only that pass reads, is skipped.
+    than interval_forward's, and then intersected with `known`, a node's
+    inherited (pre_lo, pre_hi), when given; an interval empty by more than
+    EMPTY_TOL refutes every disjunct. A disjunct is refuted when one of its
+    atoms coeffs @ y <= rhs is: its closed-form minimum over the output's
+    interval step, or the back-substituted lower bound of coeffs @ y itself,
+    exceeds rhs. The interval test runs first; one backward pass of every
+    atom runs only when it leaves a disjunct open. Without a violation, the
+    last hidden layer's relaxation, which only that pass reads, is skipped.
     """
     fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
     relaxations, pre_lo, pre_hi = [], [np.zeros(0)], [np.zeros(0)]
-    lo, hi = box.lo, box.hi
+    lo, hi, k = box.lo, box.hi, 0
     for i, node in enumerate(fcs[:-1]):
         lo, hi = _interval_fc(node, lo, hi)
         if relaxations:
@@ -236,6 +242,10 @@ def _bound(net: SequentialNetwork, box: Box, compiled=None):
                                     np.concatenate([b, -b]), fcs,
                                     relaxations, box)
             lo, hi = np.maximum(lo, back[:n]), np.minimum(hi, -back[n:])
+        if known is not None:
+            at = slice(k, k + node.out_dim)
+            lo, hi = np.maximum(lo, known[0][at]), np.minimum(hi, known[1][at])
+            k += node.out_dim
         pre_lo.append(lo)
         pre_hi.append(hi)
         if compiled is None and i == len(fcs) - 2:
@@ -244,7 +254,8 @@ def _bound(net: SequentialNetwork, box: Box, compiled=None):
         lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
     pre_lo, pre_hi = np.concatenate(pre_lo), np.concatenate(pre_hi)
     unstable = int(np.count_nonzero((pre_lo < 0.0) & (pre_hi > 0.0)))
-    if compiled is None:
+    if compiled is None or (known is not None
+                            and np.any(pre_lo > pre_hi + EMPTY_TOL)):
         return pre_lo, pre_hi, unstable, []
     rows, rhs, starts = compiled
     out = fcs[-1]
@@ -324,9 +335,8 @@ def verify_ibp(net: SequentialNetwork, prop: Property,
                sample_count: int = 32, seed: int = 0) -> VerificationResult:
     """The root node of verify_bab: refutation by the bounding step, a quick
     sampling falsification followed by the root descent from its points
-    (when sample_count > 0), and, when no ReLU is unstable, the exact
-    decision of the one activation pattern (an interval test per disjunct,
-    then one LP for each disjunct that test leaves open)."""
+    (when sample_count > 0), and, when no ReLU is unstable, one LP for each
+    disjunct the bounding step leaves open."""
     return verify_bab(net, prop, BabConfig(max_nodes=1, enum_threshold=0,
                                            sample_count=sample_count,
                                            seed=seed))
@@ -412,15 +422,12 @@ def lp_feasible(a_ub: np.ndarray, b_ub: np.ndarray, box: Box):
     raise LPUndecidedError(f"LP status {res.status}: {res.message}")
 
 
-def _pattern_maps(fcs, pattern, stop=None):
+def _pattern_maps(fcs, pattern):
     """Affine maps of a folded network's FC nodes `fcs` under an activation
     pattern (1 active, 0 inactive): (rows, rhs, a, c), with each hidden
     neuron's sign constraint a row of rows @ x <= rhs (-pre <= 0 when
     active, pre <= 0 when inactive) and a @ x + c the output as a function
-    of the input x. With `stop`, a hidden neuron's index, the loop ends at
-    that neuron's layer: rows and rhs end with it, a and c are its
-    pre-activation, and only the pattern of the layers before it is read.
-    """
+    of the input x."""
     d = fcs[0].in_dim
     a, c = np.eye(d), np.zeros(d)
     rows, rhs, k = [np.zeros((0, d))], [np.zeros(0)], 0
@@ -431,11 +438,8 @@ def _pattern_maps(fcs, pattern, stop=None):
         k += node.out_dim
         rows.append(np.where(active[:, None], -a, a))
         rhs.append(np.where(active, c, -c))
-        if stop is not None and stop < k:
-            break
         a, c = a * active[:, None], c * active
-    else:
-        a, c = fcs[-1].weights @ a, fcs[-1].weights @ c + fcs[-1].bias
+    a, c = fcs[-1].weights @ a, fcs[-1].weights @ c + fcs[-1].bias
     return np.vstack(rows), np.concatenate(rhs), a, c
 
 
@@ -468,124 +472,69 @@ def check_pattern(net: SequentialNetwork, box: Box, pattern: np.ndarray,
     return x
 
 
-class _BudgetExhausted(Exception):
-    """The time budget ran out inside an exact leaf decision."""
-
-
-def _enum_decide(net, folded, box, prop, alive, los, his, counters,
-                 deadline):
-    """Exact decision for a node whose free neurons are enumerable, over
-    `folded`, the fold of `net`.
-
-    Depth-first search over the free (unstable) neurons in layer order, one
-    neuron fixed per tree level, inactive before active, so total patterns
-    are reached in lexicographic order. A prefix is cut with every
-    completion when its new sign row's closed-form minimum over the box
-    exceeds its rhs, or when an LP over the prefix's free-neuron rows is
-    infeasible (stable neurons' rows hold on the whole box). No such LP runs
-    when a feasible point of the parent prefix meets the child's rows, for a
-    total pattern (check_pattern's LP covers its region), or before pruning
-    has saved an LP that trying every pattern and alive disjunct would run,
-    so the search never runs more LPs than that. A total pattern skips each
-    disjunct with an atom that its output map refutes on the box and
-    decides the rest with check_pattern.
-
-    Returns a Counterexample re-validated on `net`, or None when the node
-    is proven safe. Counts LPs, total patterns reached and pruned subtrees
-    in `counters`; raises _BudgetExhausted at a tree node reached after
-    `deadline`.
-    """
-    free = np.flatnonzero((los < 0.0) & (his > 0.0))
-    lo, hi = box.lo, box.hi
-    fcs = [n for n in folded.nodes if isinstance(n, FullyConnectedNode)]
-    saved = 0  # LPs that trying every pattern would run, less those we ran
-    # (depth, pattern, prefix rows and rhs, a point that may satisfy them);
-    # the last row is the child's own and is still unchecked
-    stack = [(0, np.where(los >= 0.0, 1, 0), np.zeros((0, box.dim)),
-              np.zeros(0), box.center())]
-    while stack:
-        if time.monotonic() > deadline:
-            raise _BudgetExhausted
-        depth, pattern, rows, rhs, x = stack.pop()
-        if depth > 0:
-            subtree = len(alive) << (free.size - depth)
-            if _box_min(rows[-1], lo, hi) > rhs[-1]:
-                counters["enum_pruned"] += 1
-                saved += subtree
-                continue
-            if depth < free.size and (x is None or np.any(rows @ x > rhs)):
-                x = None
-                if saved >= 1:
-                    counters["lp_calls"] += 1
-                    saved -= 1
-                    x = lp_feasible(rows, rhs, box)
-                    if x is None:
-                        counters["enum_pruned"] += 1
-                        saved += subtree
-                        continue
-        if depth < free.size:
-            n = free[depth]
-            # neuron n's sign row; its bit is still 0, so the inactive one
-            pre_rows, pre_rhs = _pattern_maps(fcs, pattern, n)[:2]
-            row, row_rhs = pre_rows[n], pre_rhs[n]
-            for bit, sign in ((1, -1.0), (0, 1.0)):  # inactive pops first
-                child = pattern.copy()
-                child[n] = bit
-                stack.append((depth + 1, child,
-                              np.vstack([rows, sign * row]),
-                              np.append(rhs, sign * row_rhs), x))
-            continue
-        counters["enum_leaves"] += 1
-        a_out, c_out = _pattern_maps(fcs, pattern)[2:]
-        for j in alive:
-            disjunct = prop.violation[j]
-            if any(_box_min(a.coeffs @ a_out, lo, hi)
-                   > a.rhs - a.coeffs @ c_out for a in disjunct):
-                saved += 1
-                continue
-            counters["lp_calls"] += 1
-            w = check_pattern(folded, box, pattern, disjunct)
-            if w is not None:
-                cex = _validated_cex(net, prop, w)
-                if cex is None:
-                    raise SpuriousWitnessError(
-                        "pattern witness failed property re-validation")
-                return cex
+def _decide_leaf(net, folded, prop, box, pattern, alive, counters):
+    """Exact decision of a node with no unstable ReLU: check_pattern's LP on
+    `folded`, the fold of `net`, per alive disjunct. Returns a Counterexample
+    re-validated on `net`, or None when safe; counts LPs in `counters`."""
+    for j in alive:
+        counters["lp_calls"] += 1
+        w = check_pattern(folded, box, pattern, prop.violation[j])
+        if w is not None:
+            cex = _validated_cex(net, prop, w)
+            if cex is None:
+                raise SpuriousWitnessError(
+                    "pattern witness failed property re-validation")
+            return cex
     return None
+
+
+def _fitted(net: SequentialNetwork, prop: Property) -> SequentialNetwork:
+    """_folded(net); ValueError unless prop's box and outputs have net's
+    dimensions."""
+    folded = _folded(net)
+    if (prop.input_box.dim, prop.num_outputs) != (net.input_dim,
+                                                  net.output_dim):
+        raise ValueError(
+            f"property dims ({prop.input_box.dim} in, {prop.num_outputs} "
+            f"out) do not match network {net.name!r} ({net.input_dim} in, "
+            f"{net.output_dim} out)")
+    return folded
 
 
 def verify_bab(net: SequentialNetwork, prop: Property,
                config: BabConfig = None) -> VerificationResult:
-    """Branch-and-bound decision over the input box.
+    """Branch and bound over the input box and the ReLU phases.
 
-    Per node: refutation by the bounding step (_bound), concrete
-    sampling, at the root only a sign-gradient descent from the sampled
-    points (_descend, when sample_count > 0), the exact depth-first pattern
-    search of _enum_decide when few ReLUs are unstable, else split the
-    widest input dimension at its midpoint. Verified only when every node
-    is refuted or exactly decided safe; Falsified only with a concretely
-    re-validated counterexample, which the descent can give but never a
-    Verified. The time budget is checked before each node and at each node
-    of the pattern search; running out gives Unknown with reason "time
-    budget exhausted". stats counts nodes, LPs, total patterns reached
-    (enum_leaves), pattern subtrees pruned (enum_pruned) and the descent's
-    steps (descent_steps, 0 when it did not run), and gives root_unstable,
-    the root node's unstable ReLU count (what root_unstable_count returns);
-    the root is bounded before any budget check, so every result has it.
+    A node is a box plus the hidden bounds and alive disjuncts its parent
+    left, which _bound and the node only narrow. Per node: refutation by the
+    bounding step, sampling (not below a phase split, whose box was
+    sampled), at the root the descent (_descend), then one move. A node
+    with no unstable ReLU is a leaf, decided by one LP per alive disjunct.
+    One with 1 to enum_threshold branches on the first in layer order, its
+    upper bound clamped to 0 (inactive, searched first) or its lower bound
+    (active). Any other node, or a leaf whose LP is undecided or spurious,
+    splits the widest input dimension at its midpoint.
+
+    Verified only when every node is refuted or decided safe; Falsified only
+    with a re-validated counterexample; Unknown, with its reason, when a
+    budget runs out. stats counts nodes, LPs, LP-decided leaves
+    (enum_leaves), phase-split nodes refuted by their bounds (enum_pruned)
+    and descent steps, and gives root_unstable (root_unstable_count's
+    value) on every result. ValueError on a property of other dimensions.
     """
     if config is None:
         config = BabConfig()
     start = time.monotonic()
-    folded = _folded(net)
+    folded = _fitted(net, prop)
     compiled = _compile(prop.violation)
     rng = None  # created by the first node that samples
     counters = {"lp_calls": 0, "enum_leaves": 0, "enum_pruned": 0,
                 "descent_steps": 0}
-    worklist = [prop.input_box]
+    # (box, inherited bounds and alive disjuncts, made by a phase split)
+    worklist = [(prop.input_box, None, range(len(prop.violation)), False)]
     bounds = _bound(folded, prop.input_box, compiled)
     root_unstable = bounds[2]
-    nodes = 0
-    undecided = 0
+    nodes = undecided = 0
 
     def result(status, cex=None, reason=None):
         stats = {"nodes": nodes, **counters, "root_unstable": root_unstable,
@@ -599,37 +548,46 @@ def verify_bab(net: SequentialNetwork, prop: Property,
             return result(Status.UNKNOWN, reason="node budget exhausted")
         if time.monotonic() - start > config.time_budget:
             return result(Status.UNKNOWN, reason="time budget exhausted")
-        box = worklist.pop()
+        box, known, parent_alive, phase = worklist.pop()
         if nodes:  # the root's bounds are already in hand
-            bounds = _bound(folded, box, compiled)
+            bounds = _bound(folded, box, compiled, known)
         nodes += 1
 
         los, his, free, alive = bounds
+        alive = [j for j in alive if j in parent_alive]
         if not alive:
+            counters["enum_pruned"] += phase
             continue
 
-        if rng is None:
-            rng = np.random.default_rng(config.seed)
-        points = _sample_points(box, config.sample_count, rng)
-        cex = _falsify(net, folded, prop, compiled, points)
-        if cex is None and nodes == 1 and config.sample_count:
-            cex = _descend(net, folded, prop, compiled, alive, box, points,
-                           counters)
-        if cex is not None:
-            return result(Status.FALSIFIED, cex)
+        if not phase:
+            if rng is None:
+                rng = np.random.default_rng(config.seed)
+            points = _sample_points(box, config.sample_count, rng)
+            cex = _falsify(net, folded, prop, compiled, points)
+            if cex is None and nodes == 1 and config.sample_count:
+                cex = _descend(net, folded, prop, compiled, alive, box,
+                               points, counters)
+            if cex is not None:
+                return result(Status.FALSIFIED, cex)
 
-        if free <= config.enum_threshold:
+        if not free:
+            counters["enum_leaves"] += 1
             try:
-                cex = _enum_decide(net, folded, box, prop, alive, los, his,
-                                   counters, start + config.time_budget)
+                cex = _decide_leaf(net, folded, prop, box, los >= 0.0, alive,
+                                   counters)
             except (SpuriousWitnessError, LPUndecidedError):
                 pass  # no exact decision here: split the box instead
-            except _BudgetExhausted:
-                return result(Status.UNKNOWN, reason="time budget exhausted")
             else:
                 if cex is not None:
                     return result(Status.FALSIFIED, cex)
                 continue
+        elif free <= config.enum_threshold:
+            n = int(np.argmax((los < 0.0) & (his > 0.0)))
+            active_lo, inactive_hi = los.copy(), his.copy()
+            active_lo[n] = inactive_hi[n] = 0.0
+            worklist.append((box, (active_lo, his), alive, True))
+            worklist.append((box, (los, inactive_hi), alive, True))
+            continue
 
         widths = box.hi - box.lo
         split_dim = int(np.argmax(widths))
@@ -639,8 +597,8 @@ def verify_bab(net: SequentialNetwork, prop: Property,
         mid = (box.lo[split_dim] + box.hi[split_dim]) / 2.0
         left_hi = box.hi.copy(); left_hi[split_dim] = mid
         right_lo = box.lo.copy(); right_lo[split_dim] = mid
-        worklist.append(Box(box.lo.copy(), left_hi))
-        worklist.append(Box(right_lo, box.hi.copy()))
+        for child in Box(box.lo.copy(), left_hi), Box(right_lo, box.hi.copy()):
+            worklist.append((child, (los, his), alive, False))
 
     if undecided:
         return result(Status.UNKNOWN,
@@ -651,7 +609,9 @@ def verify_bab(net: SequentialNetwork, prop: Property,
 def falsify_sample(net: SequentialNetwork, prop: Property, n_samples: int,
                    seed: int = 0) -> Optional[Counterexample]:
     """Seeded random falsification: box corners (when dim <= 12) plus
-    uniform samples; returns the first validated witness."""
+    uniform samples; returns the first validated witness. ValueError when
+    the property's dimensions do not match the network's."""
+    folded = _fitted(net, prop)
     box = prop.input_box
     points = []
     if box.dim <= 12:
@@ -664,7 +624,7 @@ def falsify_sample(net: SequentialNetwork, prop: Property, n_samples: int,
         points.append(rng.uniform(box.lo, box.hi, size=(n_samples, box.dim)))
     if not points:
         return None
-    return _falsify(net, _folded(net), prop, _compile(prop.violation),
+    return _falsify(net, folded, prop, _compile(prop.violation),
                     np.concatenate(points))
 
 

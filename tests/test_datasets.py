@@ -147,6 +147,14 @@ class TestAddSamples:
         with pytest.raises(ValueError, match="dimension"):
             ds.add_test_sample(Sample(np.array([0.1]), 0))
 
+    @pytest.mark.parametrize("value,shape", [(0.5, r"\(\)"),
+                                             ([[0.1, 0.2]], r"\(1, 2\)")])
+    def test_input_of_another_shape(self, value, shape):
+        ds = Dataset(input_dim=2, num_classes=2)
+        with pytest.raises(ValueError, match=rf"shape {shape}.*dimension "
+                                             r"\(2,\)"):
+            ds.add_train_sample(Sample(np.array(value), 0))
+
     def test_growth_is_exact(self):
         ds = Dataset(input_dim=1, num_classes=2)
         for k in range(5):

@@ -115,6 +115,16 @@ def hidden_pre_activations(net, xs):
     return np.hstack(pre)
 
 
+def bound_instance(trial, rng):
+    """A seeded net of one of two shapes, folded, with batch norm unless
+    trial % 3 == 0, and a random box for it."""
+    widths = (3, 6, 5, 4, 3) if trial % 2 else (2, 5, 5, 2)
+    net = fold_batchnorm(random_net(widths, seed=trial,
+                                    with_bn=trial % 3 != 0, scale=1.5))
+    lo = rng.uniform(-1.0, 0.5, size=widths[0])
+    return net, Box(lo, lo + rng.uniform(0.05, 1.0, size=widths[0]))
+
+
 class TestBound:
     def test_contains_samples_and_is_inside_ibp(self):
         """On seeded folded nets, with and without BN: sampled hidden
@@ -176,6 +186,80 @@ class TestBound:
                     assert j in alive, (trial, j)
                 tighter_atoms += not refuted and not hit and j not in alive
         assert tighter_hidden > 0 and tighter_atoms > 0
+
+    def test_known_bounds_that_fix_one_relu(self):
+        """Known bounds that fix one unstable ReLU active or inactive: the
+        sampled points whose pre-activation has that sign lie inside the
+        returned bounds, and those lie inside the known bounds."""
+        TOL = 1e-9
+        rng = np.random.default_rng(12)
+        fixed = tighter = 0
+        for trial in range(12):
+            net, box = bound_instance(trial, rng)
+            pre = hidden_pre_activations(net, rng.uniform(
+                box.lo, box.hi, size=(3000, box.dim)))
+            compiled = verifier._compile(violation(np.ones(net.output_dim),
+                                                   0.0))
+            pre_lo, pre_hi = verifier._bound(net, box, compiled)[:2]
+            for n in np.flatnonzero((pre_lo < 0.0) & (pre_hi > 0.0)):
+                for active in (True, False):
+                    known_lo, known_hi = pre_lo.copy(), pre_hi.copy()
+                    (known_lo if active else known_hi)[n] = 0.0
+                    got_lo, got_hi = verifier._bound(
+                        net, box, compiled, (known_lo, known_hi))[:2]
+                    assert np.all(got_lo >= known_lo), (trial, n, active)
+                    assert np.all(got_hi <= known_hi), (trial, n, active)
+                    side = pre[(pre[:, n] >= 0.0) if active
+                               else (pre[:, n] <= 0.0)]
+                    assert np.all(side >= got_lo - TOL), (trial, n, active)
+                    assert np.all(side <= got_hi + TOL), (trial, n, active)
+                    fixed += 1
+                    tighter += bool(np.any(got_lo > known_lo + TOL)
+                                    or np.any(got_hi < known_hi - TOL))
+        assert fixed >= 20 and tighter > 0
+
+    def test_fixed_pattern_refutes_what_its_output_map_refutes(self):
+        """Known bounds that fix every unstable ReLU make each relaxation
+        exact: an atom that the pattern's output map refutes on the box is
+        refuted, though the root bounds leave it open."""
+        rng = np.random.default_rng(13)
+        open_at_root = 0
+        for trial in range(12):
+            net, box = bound_instance(trial, rng)
+            fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
+            pre_lo, pre_hi = verifier._bound(net, box)[:2]
+            free = np.flatnonzero((pre_lo < 0.0) & (pre_hi > 0.0))
+            for _ in range(4):
+                pattern = (pre_lo >= 0.0).astype(int)
+                pattern[free] = rng.integers(0, 2, size=free.size)
+                known_lo, known_hi = pre_lo.copy(), pre_hi.copy()
+                known_lo[free[pattern[free] == 1]] = 0.0
+                known_hi[free[pattern[free] == 0]] = 0.0
+                a, c = verifier._pattern_maps(fcs, pattern)[2:]
+                atoms = []
+                for coeffs in rng.normal(size=(4, net.output_dim)):
+                    least = verifier._box_min(coeffs @ a, box.lo, box.hi)
+                    atoms.append([LinearAtom(coeffs,
+                                             least + coeffs @ c - 0.05)])
+                compiled = verifier._compile(atoms)
+                assert verifier._bound(net, box, compiled,
+                                       (known_lo, known_hi))[3] == [], trial
+                open_at_root += len(verifier._bound(net, box, compiled)[3])
+        assert open_at_root > 0
+
+    def test_empty_known_interval_refutes_beyond_rounding(self):
+        """An interval inverted by intersecting with the known bounds
+        refutes the node only when it is empty by more than EMPTY_TOL."""
+        net = fold_batchnorm(random_net((2, 5, 5, 2), seed=3, scale=1.5))
+        box = Box([0.0, 0.0], [1.0, 1.0])
+        compiled = verifier._compile(violation([1.0, 0.0], 1e6))
+        pre_lo, pre_hi, _, alive = verifier._bound(net, box, compiled)
+        assert alive == [0]
+        for gap, refuted in ((1e-12, False), (1e-3, True)):
+            known_hi = pre_hi.copy()
+            known_hi[7] = pre_lo[7] - gap
+            got = verifier._bound(net, box, compiled, (pre_lo, known_hi))
+            assert got[3] == ([] if refuted else [0]), gap
 
     def test_adaptive_lower_slope_refutes_what_ibp_cannot(self):
         # Y_0 = relu(x) - (x + 2) + 2 = relu(x) - x >= 0 on [-1, 2]; IBP
@@ -339,6 +423,22 @@ class TestVerifyIbp:
         res = verify_ibp(net, prop)
         assert res.status == Status.VERIFIED
         assert res.stats["nodes"] == 1 and res.stats["lp_calls"] == 1
+
+
+class TestDimensionCheck:
+    @pytest.mark.parametrize("box_dim,outputs", [(3, 2), (2, 3)])
+    def test_property_of_other_dimensions_is_rejected(self, box_dim,
+                                                      outputs):
+        net = random_net((2, 4, 2), seed=0)
+        prop = Property(Box(np.zeros(box_dim), np.ones(box_dim)),
+                        violation(np.ones(outputs), 0.0), outputs)
+        for call in (lambda: verify_bab(net, prop),
+                     lambda: verify_ibp(net, prop),
+                     lambda: falsify_sample(net, prop, 8)):
+            with pytest.raises(ValueError, match=rf"property dims \({box_dim} "
+                               rf"in, {outputs} out\) do not match network "
+                               r"'rand-0' \(2 in, 2 out\)"):
+                call()
 
 
 class TestNoHiddenLayer:
@@ -548,8 +648,7 @@ def affine_maps_loop(net, pattern):
 
 class TestAffineMaps:
     def test_pattern_maps_equal_the_loop(self):
-        """Every layer's sign rows and the output map, bit for bit, also
-        when the loop stops at the layer of a given neuron."""
+        """Every layer's sign rows and the output map, bit for bit."""
         for seed in range(8):
             net = random_net((2, 3, 3, 3, 2), seed=seed, with_bn=False)
             fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
@@ -559,17 +658,6 @@ class TestAffineMaps:
                 want = affine_maps_loop(net, pattern)
                 got = verifier._pattern_maps(fcs, pattern)
                 assert all(np.array_equal(w, g) for w, g in zip(want, got))
-                for stop in range(9):
-                    end = (stop // 3 + 1) * 3  # end of the neuron's layer
-                    rows, rhs, a, c = verifier._pattern_maps(fcs, pattern,
-                                                             stop)
-                    assert np.array_equal(rows, want[0][:end])
-                    assert np.array_equal(rhs, want[1][:end])
-                    active = pattern[end - 3:end].astype(bool)
-                    assert np.array_equal(np.where(active[:, None], -a, a),
-                                          want[0][end - 3:end])
-                    assert np.array_equal(np.where(active, c, -c),
-                                          want[1][end - 3:end])
 
     def test_pattern_length_is_checked(self):
         net = random_net((2, 3, 2), seed=0, with_bn=False)
@@ -707,41 +795,60 @@ def brute_force_enum(net, box, prop, alive, los, his):
     return None, lp_calls, nonempty
 
 
-class TestEnumDecide:
-    def test_matches_brute_force(self):
-        safe = falsified = pruned = 0
+class TestPhaseSearch:
+    def test_matches_brute_force(self, monkeypatch):
+        """verify_bab's phase splits against every total pattern of the
+        root's free neurons: the same verdict with no more LPs, at most one
+        LP-decided leaf per pattern, and no witness inside any node that its
+        bounds refuted (every pattern agreeing with the signs its inherited
+        bounds fix is checked against every disjunct)."""
+        real = verifier._bound
+        refuted = []
+
+        def recording(net, box, compiled=None, known=None):
+            out = real(net, box, compiled, known)
+            if known is not None and not out[3]:
+                refuted.append(known)
+            return out
+        monkeypatch.setattr(verifier, "_bound", recording)
+        config = BabConfig(sample_count=0, enum_threshold=16, max_nodes=10**6)
+        safe = falsified = pruned = checked = 0
         for widths in ([2, 3, 3, 3], [3, 4, 2, 3], [2, 5, 3],
                        [3, 3, 3, 3, 3]):
             for seed in range(48):
                 net, prop = tiny_instance(seed, widths)
                 box = prop.input_box
-                los, his, free, alive = verifier._bound(
+                los, his, free, alive = real(
                     net, box, verifier._compile(prop.violation))
                 if not alive:
                     continue
-                counters = {"lp_calls": 0, "enum_leaves": 0,
-                            "enum_pruned": 0}
-                cex = verifier._enum_decide(net, net, box, prop, alive, los,
-                                            his, counters, float("inf"))
+                refuted.clear()
+                res = verify_bab(net, prop, config)
+                stats, cex = res.stats, res.counterexample
                 ref, ref_calls, nonempty = brute_force_enum(
                     net, box, prop, alive, los, his)
-                assert (cex is None) == (ref is None), (widths, seed)
-                assert counters["lp_calls"] <= ref_calls, (widths, seed)
-                assert counters["enum_leaves"] <= 2 ** free
+                assert (res.status == Status.VERIFIED) == (ref is None), \
+                    (widths, seed)
+                assert res.status != Status.UNKNOWN
+                assert stats["lp_calls"] <= ref_calls, (widths, seed)
+                assert stats["enum_leaves"] <= 2 ** free
+                everything = range(len(prop.violation))
+                for known in refuted:
+                    assert brute_force_enum(net, box, prop, everything,
+                                            *known)[0] is None, (widths, seed)
+                checked += len(refuted)
                 if cex is None:
                     safe += 1
-                    # pruning only drops empty regions
-                    assert counters["enum_leaves"] >= nonempty
-                    assert (counters["enum_pruned"] > 0) == \
-                        (counters["enum_leaves"] < 2 ** free)
+                    assert (stats["enum_pruned"] > 0) == \
+                        (stats["enum_leaves"] < 2 ** free)
                 else:
                     falsified += 1
                     assert box.contains(cex.input)
                     assert satisfies_disjunct(forward(net, cex.input),
                                               prop.violation[cex.disjunct],
                                               tol=CEX_TOL)
-                pruned += counters["enum_pruned"]
-        assert safe >= 5 and falsified >= 5 and pruned > 0
+                pruned += stats["enum_pruned"]
+        assert safe >= 5 and falsified >= 5 and pruned > 0 and checked > 0
 
     def test_pattern_witness_is_revalidated_on_the_callers_net(self):
         """A counterexample found by the pattern search on the folded net
@@ -750,7 +857,8 @@ class TestEnumDecide:
         ds = synth_blobs(1, 30, 3, 4, 0.15)
         net, _ = train(init_network([4, 8, 8, 3], 1, with_bn=True), ds,
                        TrainingConfig(epochs=2, seed=1))
-        config = BabConfig(sample_count=0, enum_threshold=16, max_nodes=1)
+        config = BabConfig(sample_count=0, enum_threshold=16,
+                           max_nodes=10**6)
         found = 0
         for sample in ds.test:
             prop = robustness_property(sample.input, sample.label, 0.05,
@@ -1079,29 +1187,22 @@ class TestFoldMemo:
                        for a in vars(n).values() if isinstance(a, np.ndarray)
                        for b in params)
 
-    def test_verifier_never_mutates_the_fold(self, monkeypatch):
+    def test_verifier_never_mutates_the_fold(self):
         # With samples the root descent runs on the fold and decides these
-        # queries first; without them the exact pattern search runs on it.
-        enum_calls = []
-        enum_decide = verifier._enum_decide
-
-        def counting(*args):
-            enum_calls.append(1)
-            return enum_decide(*args)
-        monkeypatch.setattr(verifier, "_enum_decide", counting)
+        # queries first; without them the phase search's leaf LPs run on it.
         for sample_count in (4, 0):
             config = BabConfig(max_nodes=50, enum_threshold=20,
                                sample_count=sample_count)
-            enum_calls.clear()
-            steps = 0
+            leaves = steps = 0
             for seed in range(6):
                 net = random_net((3, 8, 6, 3), seed=seed, scale=1.5)
                 for q in range(4):
                     res = verify_bab(net, self.query(net, q, eps=0.3), config)
                     steps += res.stats["descent_steps"]
+                    leaves += res.stats["enum_leaves"]
                 assert fold_arrays(verifier._thread.fold[1]) == \
                     fold_arrays(fold_batchnorm(net))
             if sample_count:
                 assert steps
             else:
-                assert enum_calls and steps == 0
+                assert leaves and steps == 0
