@@ -118,17 +118,35 @@ def _content_key(net: SequentialNetwork) -> tuple:
 def _folded(net: SequentialNetwork) -> SequentialNetwork:
     """net validated and batch-norm-folded (net itself without batch norm);
     ValueError if invalid. Each thread remembers the last valid net's content
-    key and fold, so the same content is not validated or folded again. The
-    fold shares no array with a caller and is never mutated."""
+    key, fold and plan (_plan), so the same content is not validated, folded
+    or planned again. Neither shares an array with a caller or is mutated."""
     key = _content_key(net)
     memo = getattr(_thread, "fold", None)
     if memo is None or memo[0] != key:
-        if _is_folded(net):
+        fold = None if _is_folded(net) else fold_batchnorm(net)
+        if fold is None:
             _require_valid(net)
-            memo = _thread.fold = (key, None)
-        else:
-            memo = _thread.fold = (key, fold_batchnorm(net))
+        fcs = [(np.array(n.weights), np.array(n.bias)) for n in
+               (net if fold is None else fold).nodes
+               if isinstance(n, FullyConnectedNode)]
+        plan = tuple((w, b, np.maximum(w, 0.0), np.minimum(w, 0.0),
+                      np.concatenate([w, -w]), np.concatenate([b, -b]), b.size)
+                     for w, b in fcs)
+        memo = _thread.fold = (key, fold, plan)
     return net if memo[1] is None else memo[1]
+
+
+def _plan(net: SequentialNetwork) -> tuple:
+    """The bounding plan of _folded(net): per FC node, from copies of its
+    arrays, (W, b, max(W, 0), min(W, 0), [W; -W], [b; -b], out_dim)."""
+    _folded(net)
+    return _thread.fold[2]
+
+
+def _check_box(net: SequentialNetwork, box: Box):
+    if box.dim != net.input_dim:
+        raise ValueError(f"box dim {box.dim} does not match network "
+                         f"{net.name!r} ({net.input_dim} in)")
 
 
 def _interval_fc(node: FullyConnectedNode, lo: np.ndarray, hi: np.ndarray):
@@ -148,6 +166,7 @@ def interval_forward(net: SequentialNetwork, box: Box):
     """
     if not _is_folded(net):
         raise ValueError("expected a folded (FC/ReLU only) network")
+    _check_box(net, box)
     lo, hi = box.lo.copy(), box.hi.copy()
     bounds = []
     for node in net.nodes:
@@ -172,30 +191,40 @@ def _relu_relaxation(lo: np.ndarray, hi: np.ndarray):
     unstable neuron (lo < 0 < hi) gets the triangle's upper side
     hi / (hi - lo) * (z - lo) and the lower slope 1 when hi > -lo, else 0,
     whichever of z and 0 leaves the smaller area under relu on [lo, hi].
+    Only unstable neurons get slopes and shifts computed; a layer without
+    one is (mask, mask, None), its 0/1 mask twice and no shift.
     """
-    unstable = (lo < 0.0) & (hi > 0.0)
-    active = lo >= 0.0
-    upper = np.where(unstable, hi / np.where(unstable, hi - lo, 1.0), active)
-    lower = np.where(unstable, hi > -lo, active).astype(np.float64)
-    return lower, upper, np.where(unstable, -upper * lo, 0.0)
+    mask = (lo >= 0.0).astype(np.float64)
+    at = ((lo < 0.0) & (hi > 0.0)).nonzero()[0]
+    if not at.size:
+        return mask, mask, None
+    lower, upper, shift = mask.copy(), mask.copy(), np.zeros(mask.size)
+    l, h = lo[at], hi[at]
+    u = h / (h - l)
+    upper[at], lower[at], shift[at] = u, h > -l, -u * l
+    return lower, upper, shift
 
 
-def _back_substitute(coeffs, const, fcs, relaxations, box: Box):
+def _back_substitute(coeffs, const, plan, relaxations, box: Box):
     """Per row, a lower bound over the box of coeffs @ h + const, where h is
     the output of the last hidden layer in `relaxations` (one per hidden
     layer from the first, as _relu_relaxation gives them), or the input when
     there is none. Layer by layer towards the input, each ReLU is replaced by
     the side of its relaxation that bounds each row from below (the lower
     slope under a positive coefficient, the upper line under a negative
-    one), and then the FC node before it; _box_min minimizes what is left.
+    one), and then the plan's FC layer before it; _box_min minimizes what is
+    left. A relaxation without a shift is a mask, applied as one product.
     """
-    for node, (lower, upper, shift) in zip(reversed(fcs[:len(relaxations)]),
-                                           reversed(relaxations)):
-        neg = np.minimum(coeffs, 0.0)
-        const = const + neg @ shift
-        coeffs = np.maximum(coeffs, 0.0) * lower + neg * upper
-        const = const + coeffs @ node.bias
-        coeffs = coeffs @ node.weights
+    for (w, b, *_), (lower, upper, shift) in zip(
+            reversed(plan[:len(relaxations)]), reversed(relaxations)):
+        if shift is None:
+            coeffs = coeffs * lower
+        else:
+            neg = np.minimum(coeffs, 0.0)
+            const = const + neg @ shift
+            coeffs = np.maximum(coeffs, 0.0) * lower + neg * upper
+        const = const + coeffs @ b
+        coeffs = coeffs @ w
     return _box_min(coeffs, box.lo, box.hi) + const
 
 
@@ -210,8 +239,8 @@ def _compile(violation):
     return rows, rhs, np.cumsum([0] + [len(d) for d in violation[:-1]])
 
 
-def _bound(net: SequentialNetwork, box: Box, compiled=None, known=None):
-    """The bounding step over a folded network, shared by every engine.
+def _bound(plan: tuple, box: Box, compiled=None, known=None):
+    """The bounding step over a folded net's plan (_plan), for every engine.
 
     Returns (pre_lo, pre_hi, unstable, alive): bounds of every hidden
     pre-activation as two flat vectors (empty without a hidden layer), the
@@ -231,24 +260,21 @@ def _bound(net: SequentialNetwork, box: Box, compiled=None, known=None):
     atom runs only when it leaves a disjunct open. Without a violation, the
     last hidden layer's relaxation, which only that pass reads, is skipped.
     """
-    fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
     relaxations, pre_lo, pre_hi = [], [np.zeros(0)], [np.zeros(0)]
     lo, hi, k = box.lo, box.hi, 0
-    for i, node in enumerate(fcs[:-1]):
-        lo, hi = _interval_fc(node, lo, hi)
+    for i, (_, b, pos, neg, stacked, stacked_bias, n) in enumerate(plan[:-1]):
+        lo, hi = pos @ lo + neg @ hi + b, pos @ hi + neg @ lo + b
         if relaxations:
-            w, b, n = node.weights, node.bias, node.out_dim
-            back = _back_substitute(np.concatenate([w, -w]),
-                                    np.concatenate([b, -b]), fcs,
-                                    relaxations, box)
+            back = _back_substitute(stacked, stacked_bias, plan, relaxations,
+                                    box)
             lo, hi = np.maximum(lo, back[:n]), np.minimum(hi, -back[n:])
         if known is not None:
-            at = slice(k, k + node.out_dim)
+            at = slice(k, k + n)
             lo, hi = np.maximum(lo, known[0][at]), np.minimum(hi, known[1][at])
-            k += node.out_dim
+            k += n
         pre_lo.append(lo)
         pre_hi.append(hi)
-        if compiled is None and i == len(fcs) - 2:
+        if compiled is None and i == len(plan) - 2:
             break
         relaxations.append(_relu_relaxation(lo, hi))
         lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
@@ -258,11 +284,12 @@ def _bound(net: SequentialNetwork, box: Box, compiled=None, known=None):
                             and np.any(pre_lo > pre_hi + EMPTY_TOL)):
         return pre_lo, pre_hi, unstable, []
     rows, rhs, starts = compiled
-    out = fcs[-1]
-    refuted = _box_min(rows, *_interval_fc(out, lo, hi)) > rhs
+    w, b, pos, neg = plan[-1][:4]
+    out_lo, out_hi = pos @ lo + neg @ hi + b, pos @ hi + neg @ lo + b
+    refuted = _box_min(rows, out_lo, out_hi) > rhs
     if not np.logical_or.reduceat(refuted, starts).all():
-        refuted |= _back_substitute(rows @ out.weights, rows @ out.bias, fcs,
-                                    relaxations, box) > rhs
+        refuted |= _back_substitute(rows @ w, rows @ b, plan, relaxations,
+                                    box) > rhs
     return (pre_lo, pre_hi, unstable,
             np.flatnonzero(~np.logical_or.reduceat(refuted, starts)).tolist())
 
@@ -292,18 +319,18 @@ def _falsify(net, folded, prop, compiled, points) -> Optional[Counterexample]:
     return _validated_cex(net, prop, points[first[0]]) if first.size else None
 
 
-def _descend(net, folded, prop, compiled, alive, box, points, counters):
-    """Sign-gradient descent on `folded`, the fold of `net`, from each of
-    `points` towards each alive disjunct of the compiled violation. Each of
-    DESCENT_STEPS steps moves a point by an eighth of the box width against
-    the sign of the input gradient of the disjunct's worst atom margin
-    max_k(rows_k @ y - rhs_k), then clips it to the box. The gradient is
-    _back_substitute's loop with each point's ReLU mask in place of the
+def _descend(net, plan, prop, compiled, alive, box, points, counters):
+    """Sign-gradient descent on `plan`, the bounding plan of `net`, from
+    each of `points` towards each alive disjunct of the compiled violation.
+    Each of DESCENT_STEPS steps moves a point by an eighth of the box width
+    against the sign of the input gradient of the disjunct's worst atom
+    margin max_k(rows_k @ y - rhs_k), then clips it to the box. The gradient
+    is _back_substitute's loop with each point's ReLU mask in place of the
     relaxation. After each step, the points with margin <= 0 are
     re-validated on `net`, disjunct-major; the first that holds is returned,
     else None. counters["descent_steps"] counts the steps taken."""
     rows, rhs, starts = compiled
-    fcs = [n for n in folded.nodes if isinstance(n, FullyConnectedNode)]
+    w_out, b_out = plan[-1][:2]
     atom_of = np.repeat(np.arange(len(starts)),
                         np.diff(starts, append=len(rhs)))
     own = np.repeat(atom_of == np.array(alive)[:, None], len(points), axis=0)
@@ -311,11 +338,11 @@ def _descend(net, folded, prop, compiled, alive, box, points, counters):
     delta = (box.hi - box.lo) / 8.0
     for step in range(DESCENT_STEPS + 1):
         h, masks = x, []
-        for node in fcs[:-1]:
-            h = h @ node.weights.T + node.bias
+        for w, b, *_ in plan[:-1]:
+            h = h @ w.T + b
             masks.append(h > 0.0)
             h = np.maximum(h, 0.0)
-        y = h @ fcs[-1].weights.T + fcs[-1].bias
+        y = h @ w_out.T + b_out
         margins = np.where(own, y @ rows.T - rhs, -np.inf)
         if step:
             for i in np.flatnonzero(margins.max(axis=1) <= 0.0):
@@ -325,9 +352,9 @@ def _descend(net, folded, prop, compiled, alive, box, points, counters):
         if step == DESCENT_STEPS:
             return None
         counters["descent_steps"] += 1
-        g = rows[margins.argmax(axis=1)] @ fcs[-1].weights
-        for node, mask in zip(reversed(fcs[:-1]), reversed(masks)):
-            g = (g * mask) @ node.weights
+        g = rows[margins.argmax(axis=1)] @ w_out
+        for (w, *_), mask in zip(reversed(plan[:-1]), reversed(masks)):
+            g = (g * mask) @ w
         x = np.clip(x - delta * np.sign(g), box.lo, box.hi)
 
 
@@ -488,9 +515,9 @@ def _decide_leaf(net, folded, prop, box, pattern, alive, counters):
     return None
 
 
-def _fitted(net: SequentialNetwork, prop: Property) -> SequentialNetwork:
-    """_folded(net); ValueError unless prop's box and outputs have net's
-    dimensions."""
+def _fitted(net: SequentialNetwork, prop: Property):
+    """(_folded(net), _plan(net)); ValueError unless prop's box and outputs
+    have net's dimensions."""
     folded = _folded(net)
     if (prop.input_box.dim, prop.num_outputs) != (net.input_dim,
                                                   net.output_dim):
@@ -498,7 +525,7 @@ def _fitted(net: SequentialNetwork, prop: Property) -> SequentialNetwork:
             f"property dims ({prop.input_box.dim} in, {prop.num_outputs} "
             f"out) do not match network {net.name!r} ({net.input_dim} in, "
             f"{net.output_dim} out)")
-    return folded
+    return folded, _thread.fold[2]
 
 
 def verify_bab(net: SequentialNetwork, prop: Property,
@@ -525,14 +552,14 @@ def verify_bab(net: SequentialNetwork, prop: Property,
     if config is None:
         config = BabConfig()
     start = time.monotonic()
-    folded = _fitted(net, prop)
+    folded, plan = _fitted(net, prop)
     compiled = _compile(prop.violation)
     rng = None  # created by the first node that samples
     counters = {"lp_calls": 0, "enum_leaves": 0, "enum_pruned": 0,
                 "descent_steps": 0}
     # (box, inherited bounds and alive disjuncts, made by a phase split)
     worklist = [(prop.input_box, None, range(len(prop.violation)), False)]
-    bounds = _bound(folded, prop.input_box, compiled)
+    bounds = _bound(plan, prop.input_box, compiled)
     root_unstable = bounds[2]
     nodes = undecided = 0
 
@@ -550,7 +577,7 @@ def verify_bab(net: SequentialNetwork, prop: Property,
             return result(Status.UNKNOWN, reason="time budget exhausted")
         box, known, parent_alive, phase = worklist.pop()
         if nodes:  # the root's bounds are already in hand
-            bounds = _bound(folded, box, compiled, known)
+            bounds = _bound(plan, box, compiled, known)
         nodes += 1
 
         los, his, free, alive = bounds
@@ -565,7 +592,7 @@ def verify_bab(net: SequentialNetwork, prop: Property,
             points = _sample_points(box, config.sample_count, rng)
             cex = _falsify(net, folded, prop, compiled, points)
             if cex is None and nodes == 1 and config.sample_count:
-                cex = _descend(net, folded, prop, compiled, alive, box,
+                cex = _descend(net, plan, prop, compiled, alive, box,
                                points, counters)
             if cex is not None:
                 return result(Status.FALSIFIED, cex)
@@ -611,7 +638,7 @@ def falsify_sample(net: SequentialNetwork, prop: Property, n_samples: int,
     """Seeded random falsification: box corners (when dim <= 12) plus
     uniform samples; returns the first validated witness. ValueError when
     the property's dimensions do not match the network's."""
-    folded = _fitted(net, prop)
+    folded = _fitted(net, prop)[0]
     box = prop.input_box
     points = []
     if box.dim <= 12:
@@ -630,5 +657,6 @@ def falsify_sample(net: SequentialNetwork, prop: Property, n_samples: int,
 
 def root_unstable_count(net: SequentialNetwork, box: Box) -> int:
     """Number of hidden ReLUs whose root pre-activation bounds, from the
-    bounding step, straddle 0."""
-    return _bound(_folded(net), box)[2]
+    bounding step, straddle 0; ValueError on a box of another dimension."""
+    _check_box(net, box)
+    return _bound(_plan(net), box)[2]

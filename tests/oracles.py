@@ -291,6 +291,17 @@ def reference_train(net, dataset, config):
     return net, metrics
 
 
+def relu_relaxation(lo, hi):
+    """verifier._relu_relaxation as it was before slopes and shifts were
+    computed at the unstable neurons only: (lower, upper, shift) over every
+    neuron, with a zero shift where the ReLU is stable."""
+    unstable = (lo < 0.0) & (hi > 0.0)
+    active = lo >= 0.0
+    upper = np.where(unstable, hi / np.where(unstable, hi - lo, 1.0), active)
+    lower = np.where(unstable, hi > -lo, active).astype(np.float64)
+    return lower, upper, np.where(unstable, -upper * lo, 0.0)
+
+
 def reference_bound(net, box, violation=()):
     """verifier._bound as it was before the violation was compiled, kept as
     the reference the bounding step must match bit for bit: the output's
@@ -308,14 +319,6 @@ def reference_bound(net, box, violation=()):
 
     def box_min(coeffs, lo, hi):
         return np.maximum(coeffs, 0.0) @ lo + np.minimum(coeffs, 0.0) @ hi
-
-    def relu_relaxation(lo, hi):
-        unstable = (lo < 0.0) & (hi > 0.0)
-        active = lo >= 0.0
-        upper = np.where(unstable, hi / np.where(unstable, hi - lo, 1.0),
-                         active)
-        lower = np.where(unstable, hi > -lo, active).astype(np.float64)
-        return lower, upper, np.where(unstable, -upper * lo, 0.0)
 
     def back_substitute(coeffs, const, fcs, relaxations):
         for node, (lower, upper, shift) in zip(

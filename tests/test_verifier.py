@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import random_net
-from oracles import exact_pattern_verdict, fm_feasible, reference_bound
+from oracles import (exact_pattern_verdict, fm_feasible, reference_bound,
+                     relu_relaxation)
 from relukit import verifier
 from relukit.datasets import synth_blobs
 from relukit.network import (FullyConnectedNode, ReLUNode, SequentialNetwork,
@@ -171,7 +172,7 @@ class TestBound:
             sampled.append(False)
 
             pre_lo, pre_hi, unstable, alive = verifier._bound(
-                net, box, verifier._compile(atoms))
+                verifier._plan(net), box, verifier._compile(atoms))
             pre = hidden_pre_activations(net, xs)
             assert np.all(pre >= pre_lo - TOL), trial
             assert np.all(pre <= pre_hi + TOL), trial
@@ -200,13 +201,15 @@ class TestBound:
                 box.lo, box.hi, size=(3000, box.dim)))
             compiled = verifier._compile(violation(np.ones(net.output_dim),
                                                    0.0))
-            pre_lo, pre_hi = verifier._bound(net, box, compiled)[:2]
+            pre_lo, pre_hi = verifier._bound(verifier._plan(net), box,
+                                             compiled)[:2]
             for n in np.flatnonzero((pre_lo < 0.0) & (pre_hi > 0.0)):
                 for active in (True, False):
                     known_lo, known_hi = pre_lo.copy(), pre_hi.copy()
                     (known_lo if active else known_hi)[n] = 0.0
                     got_lo, got_hi = verifier._bound(
-                        net, box, compiled, (known_lo, known_hi))[:2]
+                        verifier._plan(net), box, compiled,
+                        (known_lo, known_hi))[:2]
                     assert np.all(got_lo >= known_lo), (trial, n, active)
                     assert np.all(got_hi <= known_hi), (trial, n, active)
                     side = pre[(pre[:, n] >= 0.0) if active
@@ -227,7 +230,7 @@ class TestBound:
         for trial in range(12):
             net, box = bound_instance(trial, rng)
             fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
-            pre_lo, pre_hi = verifier._bound(net, box)[:2]
+            pre_lo, pre_hi = verifier._bound(verifier._plan(net), box)[:2]
             free = np.flatnonzero((pre_lo < 0.0) & (pre_hi > 0.0))
             for _ in range(4):
                 pattern = (pre_lo >= 0.0).astype(int)
@@ -242,9 +245,10 @@ class TestBound:
                     atoms.append([LinearAtom(coeffs,
                                              least + coeffs @ c - 0.05)])
                 compiled = verifier._compile(atoms)
-                assert verifier._bound(net, box, compiled,
+                assert verifier._bound(verifier._plan(net), box, compiled,
                                        (known_lo, known_hi))[3] == [], trial
-                open_at_root += len(verifier._bound(net, box, compiled)[3])
+                open_at_root += len(verifier._bound(verifier._plan(net),
+                                                    box, compiled)[3])
         assert open_at_root > 0
 
     def test_empty_known_interval_refutes_beyond_rounding(self):
@@ -253,12 +257,14 @@ class TestBound:
         net = fold_batchnorm(random_net((2, 5, 5, 2), seed=3, scale=1.5))
         box = Box([0.0, 0.0], [1.0, 1.0])
         compiled = verifier._compile(violation([1.0, 0.0], 1e6))
-        pre_lo, pre_hi, _, alive = verifier._bound(net, box, compiled)
+        pre_lo, pre_hi, _, alive = verifier._bound(verifier._plan(net), box,
+                                                   compiled)
         assert alive == [0]
         for gap, refuted in ((1e-12, False), (1e-3, True)):
             known_hi = pre_hi.copy()
             known_hi[7] = pre_lo[7] - gap
-            got = verifier._bound(net, box, compiled, (pre_lo, known_hi))
+            got = verifier._bound(verifier._plan(net), box, compiled,
+                                  (pre_lo, known_hi))
             assert got[3] == ([] if refuted else [0]), gap
 
     def test_adaptive_lower_slope_refutes_what_ibp_cannot(self):
@@ -271,9 +277,50 @@ class TestBound:
         box = Box([-1.0], [2.0])
         assert interval_forward(net, box)[-1][0] == pytest.approx([-2.0])
         assert verifier._bound(
-            net, box, verifier._compile(violation([1.0], -0.25)))[3] == []
+            verifier._plan(net), box,
+            verifier._compile(violation([1.0], -0.25)))[3] == []
         assert verifier._bound(
-            net, box, verifier._compile(violation([1.0], 0.0)))[3] == [0]
+            verifier._plan(net), box,
+            verifier._compile(violation([1.0], 0.0)))[3] == [0]
+
+
+class TestRelaxation:
+    """_relu_relaxation, which computes slopes and shifts at the unstable
+    neurons only, equals oracles.relu_relaxation, which computes them over
+    every neuron, value for value; a layer without an unstable ReLU is its
+    0/1 mask and no shift."""
+
+    CASES = {
+        "exact_zeros": ([0.0, -0.0, -1.0, 0.0, -2.0, -0.0],
+                        [1.0, 0.0, 0.0, -0.0, 3.0, 2.0]),
+        "lo_equals_hi": ([-0.5, 0.5, 0.0, -0.0], [-0.5, 0.5, 0.0, -0.0]),
+        "all_stable": ([0.1, -2.0, 0.0, -1.0], [0.3, -1.0, 4.0, 0.0]),
+        "all_unstable": ([-1.0, -3.0, -1e-300, -0.5, -2.0],
+                         [2.0, 1.0, 1e-300, 0.5, 1e-12]),
+    }
+
+    @staticmethod
+    def check(lo, hi):
+        got, ref = verifier._relu_relaxation(lo, hi), relu_relaxation(lo, hi)
+        stable = not np.any((lo < 0.0) & (hi > 0.0))
+        assert (got[2] is None) == stable
+        if stable:
+            assert np.array_equal(got[0], lo >= 0.0) and got[1] is got[0]
+        shift = np.zeros_like(lo) if got[2] is None else got[2]
+        for g, r in zip((got[0], got[1], shift), ref):
+            assert g.dtype == np.float64 and np.array_equal(g, r)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_the_oracle(self, case):
+        self.check(*map(np.array, self.CASES[case]))
+
+    def test_equals_the_oracle_on_random_layers(self):
+        rng = np.random.default_rng(9)
+        values = [-2.0, -0.5, -0.0, 0.0, 1e-9, 0.25, 3.0]
+        for _ in range(300):
+            a = rng.choice(values, size=(2, 6)) + rng.choice(
+                [0.0, 1.0], size=(2, 6)) * rng.normal(size=(2, 6))
+            self.check(a.min(axis=0), a.max(axis=0))
 
 
 class TestBoundMatchesReference:
@@ -339,7 +386,7 @@ class TestBoundMatchesReference:
                 lo = rng.uniform(-1.0, 0.5, size=widths[0])
                 box = Box(lo, lo + rng.uniform(0.05, 1.0, size=widths[0]))
                 ref = reference_bound(net, box)
-                got = verifier._bound(net, box)
+                got = verifier._bound(verifier._plan(net), box)
                 assert np.array_equal(got[0], ref[0])
                 assert np.array_equal(got[1], ref[1])
                 assert got[2:] == ref[2:] and got[3] == []
@@ -348,7 +395,8 @@ class TestBoundMatchesReference:
                                                   ref[0][last], ref[1][last]):
                     backs.clear()
                     ref = reference_bound(net, box, viol)
-                    got = verifier._bound(net, box, verifier._compile(viol))
+                    got = verifier._bound(verifier._plan(net), box,
+                                          verifier._compile(viol))
                     assert np.array_equal(got[0], ref[0]), (widths, seed)
                     assert np.array_equal(got[1], ref[1]), (widths, seed)
                     assert got[2] == ref[2] and got[3] == ref[3], \
@@ -360,6 +408,43 @@ class TestBoundMatchesReference:
                     narrowed += {"all": 0, "some": 2, "none": 4}[kind] \
                         - len(got[3])
         assert min(seen.values()) > 0 and narrowed > 0
+
+    def test_stable_layers_take_the_mask_short_cut(self, monkeypatch):
+        """On a box of width 1e-6 no hidden ReLU is unstable: every
+        back-substitution passes masks only, and the bounds and the alive
+        disjuncts still equal the reference bit for bit."""
+        passes = []
+        back_substitute = verifier._back_substitute
+
+        def recording(coeffs, const, plan, relaxations, box):
+            passes.append([shift is None for _, _, shift in relaxations])
+            return back_substitute(coeffs, const, plan, relaxations, box)
+
+        monkeypatch.setattr(verifier, "_back_substitute", recording)
+        rng = np.random.default_rng(23)
+        for widths in ((3, 6, 5, 3), (2, 5, 4, 4, 3)):
+            for seed in range(4):
+                net = fold_batchnorm(random_net(widths, seed=seed,
+                                                with_bn=seed % 2 == 0,
+                                                scale=1.5))
+                lo = rng.uniform(-1.0, 0.5, size=widths[0])
+                box = Box(lo, lo + 1e-6)
+                c = rng.normal(size=widths[-1])
+                # the first is open (the box's centre satisfies it), the
+                # second refuted by the interval test
+                viol = [[LinearAtom(c, c @ forward(net, box.center()) + 0.1)],
+                        [LinearAtom(c, c @ forward(net, box.lo) - 1.0)]]
+                passes.clear()
+                ref = reference_bound(net, box, viol)
+                got = verifier._bound(verifier._plan(net), box,
+                                      verifier._compile(viol))
+                assert ref[2] == 0 and got[3] == ref[3] == [0]
+                assert np.array_equal(got[0], ref[0])
+                assert np.array_equal(got[1], ref[1])
+                # one pass per hidden layer after the first, one for the
+                # output, each through masks only
+                assert len(passes) == len(widths) - 2
+                assert all(p and all(p) for p in passes)
 
 
 class TestVerifyIbp:
@@ -386,7 +471,7 @@ class TestVerifyIbp:
             ReLUNode(2),
             FullyConnectedNode([[1.0, -1.0]], [0.0])])
         prop = Property(Box([-1.0], [1.0]), violation([1.0], -0.5), 1)
-        assert verifier._bound(net, prop.input_box,
+        assert verifier._bound(verifier._plan(net), prop.input_box,
                                verifier._compile(prop.violation))[3] == [0]
         res = verify_ibp(net, prop)
         assert res.status == Status.UNKNOWN
@@ -438,6 +523,16 @@ class TestDimensionCheck:
             with pytest.raises(ValueError, match=rf"property dims \({box_dim} "
                                rf"in, {outputs} out\) do not match network "
                                r"'rand-0' \(2 in, 2 out\)"):
+                call()
+
+
+    def test_box_of_other_dimension_is_rejected(self):
+        net = random_net((2, 4, 2), seed=0, with_bn=False)
+        box = Box(np.zeros(3), np.ones(3))
+        for call in (lambda: root_unstable_count(net, box),
+                     lambda: interval_forward(net, box)):
+            with pytest.raises(ValueError, match=r"box dim 3 does not match "
+                               r"network 'rand-0' \(2 in\)"):
                 call()
 
 
@@ -805,8 +900,8 @@ class TestPhaseSearch:
         real = verifier._bound
         refuted = []
 
-        def recording(net, box, compiled=None, known=None):
-            out = real(net, box, compiled, known)
+        def recording(plan, box, compiled=None, known=None):
+            out = real(plan, box, compiled, known)
             if known is not None and not out[3]:
                 refuted.append(known)
             return out
@@ -819,7 +914,8 @@ class TestPhaseSearch:
                 net, prop = tiny_instance(seed, widths)
                 box = prop.input_box
                 los, his, free, alive = real(
-                    net, box, verifier._compile(prop.violation))
+                    verifier._plan(net), box,
+                    verifier._compile(prop.violation))
                 if not alive:
                     continue
                 refuted.clear()
@@ -1134,24 +1230,44 @@ class TestFoldMemo:
             with pytest.raises(ValueError, match="non-finite"):
                 root_unstable_count(net, prop.input_box)
 
-    @pytest.mark.parametrize("mutate", [
-        lambda net: net.nodes[0].weights.__setitem__((0, 1), 2.0),
-        lambda net: net.nodes[1].running_var.__imul__(3.0),
-        lambda net: setattr(net.nodes[1], "eps", 0.5)],
-        ids=["weight", "running_var", "eps"])
-    def test_in_place_change_is_seen(self, monkeypatch, mutate):
-        net = random_net((3, 6, 5, 2), seed=7)
+    @pytest.mark.parametrize("mutate,with_bn", [
+        pytest.param(lambda net: net.nodes[0].weights.__setitem__((0, 1), 2.0),
+                     True, id="weight"),
+        pytest.param(lambda net: net.nodes[1].running_var.__imul__(3.0),
+                     True, id="running_var"),
+        pytest.param(lambda net: setattr(net.nodes[1], "eps", 0.5),
+                     True, id="eps"),
+        pytest.param(lambda net: net.nodes[0].weights.__setitem__((0, 1), 2.0),
+                     False, id="weight-without_bn")])
+    def test_in_place_change_is_seen(self, monkeypatch, mutate, with_bn):
+        net = random_net((3, 6, 5, 2), seed=7, with_bn=with_bn)
         props = [self.query(net, s, eps=0.2) for s in range(4)]
         folds = self.count_folds(monkeypatch)
         before = fold_arrays(verifier._folded(net))
+        plan = verifier._plan(net)
         [verify_bab(net, p) for p in props]
         mutate(net)
         after = [result_facts(verify_bab(net, p)) for p in props]
-        assert len(folds) == 2
+        assert len(folds) == (2 if with_bn else 0)
         assert fold_arrays(verifier._folded(net)) != before
         assert fold_arrays(verifier._folded(net)) == \
             fold_arrays(fold_batchnorm(net))
-        monkeypatch.setattr(verifier, "_folded", fold_batchnorm)
+        # a new plan, made from the changed net
+        assert verifier._plan(net) is not plan
+        fcs = [n for n in fold_batchnorm(net).nodes
+               if isinstance(n, FullyConnectedNode)]
+        assert all(np.array_equal(w, n.weights)
+                   and np.array_equal(pos, np.maximum(n.weights, 0.0))
+                   and np.array_equal(neg, np.minimum(n.weights, 0.0))
+                   for (w, _, pos, neg, *_), n in
+                   zip(verifier._plan(net), fcs, strict=True))
+        folded = verifier._folded
+
+        def unmemoized(net):  # validate, fold and plan anew on every call
+            verifier._thread.fold = None
+            return folded(net)
+
+        monkeypatch.setattr(verifier, "_folded", unmemoized)
         assert after == [result_facts(verify_bab(net, p)) for p in props]
 
     def test_one_fold_per_net_content(self, monkeypatch):
@@ -1178,13 +1294,21 @@ class TestFoldMemo:
         assert all(verifier._folded(net) is net for _ in range(3))
         assert checks == [net] and folds == []
 
-    def test_memo_shares_no_memory_with_the_net(self):
-        net = random_net((3, 6, 5, 2), seed=5)
+    @pytest.mark.parametrize("with_bn", [True, False])
+    def test_memo_shares_no_memory_with_the_net(self, with_bn):
+        net = random_net((3, 6, 5, 2), seed=5, with_bn=with_bn)
         folded = verifier._folded(net)
         params = [a for n in net.nodes for a in vars(n).values()
                   if isinstance(a, np.ndarray)]
-        assert not any(np.shares_memory(a, b) for n in folded.nodes
-                       for a in vars(n).values() if isinstance(a, np.ndarray)
+        if with_bn:
+            assert not any(np.shares_memory(a, b) for n in folded.nodes
+                           for a in vars(n).values()
+                           if isinstance(a, np.ndarray) for b in params)
+        # the plan: W, b, max(W, 0), min(W, 0), [W; -W], [b; -b] per layer
+        arrays = [a for layer in verifier._plan(net) for a in layer
+                  if isinstance(a, np.ndarray)]
+        assert len(arrays) == 3 * 6
+        assert not any(np.shares_memory(a, b) for a in arrays
                        for b in params)
 
     def test_verifier_never_mutates_the_fold(self):
