@@ -7,6 +7,7 @@ unsquared L2 regularizer are reported as metrics but never optimized.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -124,86 +125,34 @@ def _views(params: dict, flat: np.ndarray) -> dict:
     return views
 
 
-def _bind_flat(net: SequentialNetwork) -> np.ndarray:
-    """Pack every trainable parameter of `net` into one new vector, in
-    _collect_params order, rebind each node's arrays as views of it, and
-    return the vector."""
-    params = _collect_params(net)
+def _bind_flat(net: SequentialNetwork, params: dict) -> np.ndarray:
+    """Pack the arrays of `net` in `params`, keyed like _collect_params,
+    into one new vector in their order, rebind each node's arrays as views
+    of it, and return the vector."""
     flat = np.concatenate([p.ravel() for p in params.values()])
     _assign_params(net, _views(params, flat))
     return flat
 
 
-def _has_bn(net: SequentialNetwork) -> bool:
-    return any(isinstance(n, BatchNorm1DNode) for n in net.nodes)
+# A training plan's records, one per node, hold the node's arrays and the
+# views of the gradient vector its gradients go to; a ReLU's record is None.
+# A batch-norm record's mu_at and var_at are the slices of the plan's stats
+# vector that each forward pass writes the node's batch mean and variance
+# to, laid out like train's vector of running statistics.
+_FC = namedtuple("_FC", "W b dW db")
+_BN = namedtuple("_BN", "gamma beta dgamma dbeta eps mu_at var_at")
+# steps: the records in node order; grads: their gradient views keyed like
+# _collect_params; bn_at: the indices of the batch-norm nodes.
+_TrainPlan = namedtuple("_TrainPlan", "steps grads bn_at stats")
 
 
-def _forward_train(net: SequentialNetwork, xs: np.ndarray):
-    """Batch-statistics forward; returns (outputs, per-node cache).
+def _plan(net: SequentialNetwork, out: Optional[np.ndarray] = None):
+    """The training plan of `net`, its gradients written into `out` (a
+    contiguous float64 vector with one entry per parameter, laid out in
+    _collect_params order), or into a new vector when out is None.
 
-    The cache holds an FC node's input, a ReLU node's mask, and a batch-norm
-    node's {"xhat", "inv_std", "mu", "var"}.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2:
-        raise ValueError(f"expected a (batch, features) matrix, got shape {xs.shape}")
-    if xs.shape[0] == 0:
-        raise ValueError("empty batch")
-    if xs.shape[0] < 2 and _has_bn(net):
-        raise ValueError("batch of size 1 cannot feed batch normalization "
-                         "(batch variance needs at least 2 points)")
-    h = xs
-    cache = []
-    for node in net.nodes:
-        if isinstance(node, FullyConnectedNode):
-            cache.append(h)
-            h = h @ node.weights.T + node.bias
-        elif isinstance(node, BatchNorm1DNode):
-            # what h.mean / h.var(axis=0) compute, bit for bit, without
-            # their Python overhead; var is biased
-            n = h.shape[0]
-            mu = h.sum(axis=0) / n
-            d = h - mu
-            var = (d * d).sum(axis=0) / n
-            inv_std = 1.0 / np.sqrt(var + node.eps)
-            xhat = d * inv_std
-            cache.append({"xhat": xhat, "inv_std": inv_std, "mu": mu, "var": var})
-            h = node.gamma * xhat + node.beta
-        else:
-            mask = h > 0
-            cache.append(mask)
-            h = h * mask
-    return h, cache
-
-
-def _softmax_ce(logits: np.ndarray, labels: np.ndarray):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_p = shifted - log_z
-    n = logits.shape[0]
-    ce = -log_p[np.arange(n), labels].sum() / n  # .mean(), bit for bit
-    probs = np.exp(log_p)
-    probs[np.arange(n), labels] -= 1.0
-    probs /= n
-    return ce, probs
-
-
-def loss_and_grads(net: SequentialNetwork, xs: np.ndarray, labels: np.ndarray,
-                   config: TrainingConfig, out: Optional[np.ndarray] = None):
-    """Surrogate loss and analytic gradients for every parameter.
-
-    Returns (loss, grads, parts): grads keyed like _collect_params, parts the
-    decomposition {"surrogate", "l2", "slim"} plus the per-BN batch stats
-    needed for running-stat updates. Every gradient is written into a view
-    of one vector laid out in _collect_params order: `out` when given (a
-    contiguous float64 vector with one entry per parameter, overwritten),
-    else a new one.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    logits, cache = _forward_train(net, xs)
-    n_b = xs.shape[0]
-    if labels.shape[0] != n_b:
-        raise ValueError("labels/batch size mismatch")
+    The records hold `net`'s own arrays, so they see the in-place updates
+    adam_step makes to them."""
     params = _collect_params(net)
     size = sum(p.size for p in params.values())
     if out is None:
@@ -213,49 +162,169 @@ def loss_and_grads(net: SequentialNetwork, xs: np.ndarray, labels: np.ndarray,
         raise ValueError(f"out must be a contiguous float64 vector of "
                          f"{size} entries")
     grads = _views(params, out)
+    steps, bn_at, n_stats = [], [], 0
+    for i, node in enumerate(net.nodes):
+        if isinstance(node, FullyConnectedNode):
+            steps.append(_FC(node.weights, node.bias, grads[f"{i}.weights"],
+                             grads[f"{i}.bias"]))
+        elif isinstance(node, BatchNorm1DNode):
+            bn_at.append(i)
+            k = node.dim
+            steps.append(_BN(node.gamma, node.beta, grads[f"{i}.gamma"],
+                             grads[f"{i}.beta"], node.eps,
+                             slice(n_stats, n_stats + k),
+                             slice(n_stats + k, n_stats + 2 * k)))
+            n_stats += 2 * k
+        else:
+            steps.append(None)
+    return _TrainPlan(steps, grads, bn_at, np.empty(n_stats))
+
+
+def _checked_labels(labels, n_out: int) -> np.ndarray:
+    """labels as an int64 array; ValueError naming the first label that is
+    not an integer in [0, n_out)."""
+    ys = np.asarray(labels)
+    ok = (ys >= 0) & (ys < n_out)
+    if ys.dtype.kind == "f":
+        ok &= ys == np.trunc(ys)
+    if not ok.all():
+        raise ValueError(f"label {ys[~ok][0].item()!r} is not a class index "
+                         f"in [0, {n_out})")
+    return ys.astype(np.int64, copy=False)
+
+
+def _forward_train(plan: _TrainPlan, xs: np.ndarray):
+    """Batch-statistics forward; returns (outputs, per-node cache).
+
+    The cache holds an FC node's input, a ReLU node's mask, and a batch-norm
+    node's (xhat, inv_std, mu, var). A ReLU's masking and a batch norm's
+    centring and scaling work in place on the array the FC or batch-norm
+    step before them made; xs is only read.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2:
+        raise ValueError(f"expected a (batch, features) matrix, got shape {xs.shape}")
+    if xs.shape[0] == 0:
+        raise ValueError("empty batch")
+    if xs.shape[0] < 2 and plan.bn_at:
+        raise ValueError("batch of size 1 cannot feed batch normalization "
+                         "(batch variance needs at least 2 points)")
+    h = xs
+    cache = []
+    for rec in plan.steps:
+        kind = type(rec)
+        if kind is _FC:
+            cache.append(h)
+            h = h @ rec.W.T
+            h += rec.b
+        elif kind is _BN:
+            # what h.mean / h.var(axis=0) compute, bit for bit, without
+            # their Python overhead; var is biased
+            n = h.shape[0]
+            mu = plan.stats[rec.mu_at]
+            np.add.reduce(h, axis=0, out=mu)
+            mu /= n
+            h -= mu
+            var = plan.stats[rec.var_at]
+            np.add.reduce(h * h, axis=0, out=var)
+            var /= n
+            inv_std = 1.0 / np.sqrt(var + rec.eps)
+            h *= inv_std
+            cache.append((h, inv_std, mu, var))
+            h = rec.gamma * h + rec.beta
+        else:
+            mask = h > 0
+            cache.append(mask)
+            h *= mask
+    return h, cache
+
+
+def _softmax_ce(logits: np.ndarray, labels: np.ndarray):
+    """(mean cross-entropy, its gradient with respect to logits), computed
+    in place in logits."""
+    n, m = logits.shape
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    probs = np.exp(logits)
+    log_z = np.add.reduce(probs, axis=1, keepdims=True)
+    np.log(log_z, out=log_z)
+    logits -= log_z
+    picked = np.arange(0, n * m, m) + labels  # each row's label, flat
+    ce = -np.add.reduce(logits.take(picked)) / n  # .mean(), bit for bit
+    np.exp(logits, out=probs)
+    probs.ravel()[picked] -= 1.0
+    probs /= n
+    return ce, probs
+
+
+def loss_and_grads(net: SequentialNetwork, xs: np.ndarray, labels: np.ndarray,
+                   config: TrainingConfig, out: Optional[np.ndarray] = None,
+                   *, plan: Optional[_TrainPlan] = None):
+    """Surrogate loss and analytic gradients for every parameter.
+
+    Returns (loss, grads, parts): grads keyed like _collect_params, parts the
+    decomposition {"surrogate", "l2", "slim"} plus the per-BN batch stats
+    needed for running-stat updates. Every gradient is written into a view
+    of one vector laid out in _collect_params order: `out` when given (a
+    contiguous float64 vector with one entry per parameter, overwritten),
+    else a new one. The batch stats are views of the plan's stats vector.
+    Each label must be an integer in [0, output_dim).
+
+    train passes `plan`, built once per call by _plan(net, out) after it has
+    checked the network and every label, so each call overwrites the
+    gradients and batch stats of the call before; without it the network
+    and the labels are checked and a plan is built for this one call.
+    """
+    if plan is None:
+        _require_valid(net)
+        labels = _checked_labels(labels, net.output_dim)
+        plan = _plan(net, out)
+    logits, cache = _forward_train(plan, xs)
+    n_b = logits.shape[0]
+    if labels.shape[0] != n_b:
+        raise ValueError("labels/batch size mismatch")
     ce, dh = _softmax_ce(logits, labels)
     lam, lam_s = config.l2_lambda, config.slim_lambda
 
     l2_term = 0.0
     slim_term = 0.0
-    for i in range(len(net.nodes) - 1, -1, -1):
-        node = net.nodes[i]
-        if isinstance(node, FullyConnectedNode):
-            dw = grads[f"{i}.weights"]
-            np.matmul(dh.T, cache[i], out=dw)
-            np.add.reduce(dh, axis=0, out=grads[f"{i}.bias"])
+    steps = plan.steps
+    for i in range(len(steps) - 1, -1, -1):
+        rec = steps[i]
+        kind = type(rec)
+        if kind is _FC:
+            W, _, dW, db = rec
+            np.matmul(dh.T, cache[i], out=dW)
+            np.add.reduce(dh, axis=0, out=db)
             if i > 0:  # nothing reads the gradient of the input
-                dh = dh @ node.weights
+                dh = dh @ W
             if lam > 0:
-                l2_term += 0.5 * lam / n_b * float(np.sum(node.weights ** 2))
-                dw += lam / n_b * node.weights
-        elif isinstance(node, BatchNorm1DNode):
-            c = cache[i]
-            xhat, inv_std = c["xhat"], c["inv_std"]
-            dgamma = grads[f"{i}.gamma"]
+                l2_term += 0.5 * lam / n_b * float(np.sum(W ** 2))
+                dW += lam / n_b * W
+        elif kind is _BN:
+            xhat, inv_std, _, _ = cache[i]
+            gamma, dgamma = rec.gamma, rec.dgamma
             np.add.reduce(dh * xhat, axis=0, out=dgamma)
-            np.add.reduce(dh, axis=0, out=grads[f"{i}.beta"])
-            dxhat = dh * node.gamma
+            np.add.reduce(dh, axis=0, out=rec.dbeta)
+            dxhat = dh * gamma
             # sums over n_b, as .mean(axis=0) takes them; xhat * S / n_b
             # would round differently
-            dh = inv_std * (dxhat - dxhat.sum(axis=0) / n_b
-                            - xhat * ((dxhat * xhat).sum(axis=0) / n_b))
+            dh = inv_std * (dxhat - np.add.reduce(dxhat, axis=0) / n_b
+                            - xhat * (np.add.reduce(dxhat * xhat, axis=0)
+                                      / n_b))
             if lam_s > 0:
-                slim_term += lam_s * float(np.sum(np.abs(node.gamma)))
+                slim_term += lam_s * float(np.sum(np.abs(gamma)))
                 # L1 subgradient at 0 taken as 0
-                dgamma += lam_s * np.sign(node.gamma)
+                dgamma += lam_s * np.sign(gamma)
         else:
-            dh = dh * cache[i]
+            dh *= cache[i]
 
     loss = ce + l2_term + slim_term
     if not np.isfinite(loss):
         raise NonFiniteError("non-finite training loss")
     parts = {"surrogate": float(ce), "l2": float(l2_term),
              "slim": float(slim_term),
-             "bn_stats": {i: (cache[i]["mu"], cache[i]["var"])
-                          for i, node in enumerate(net.nodes)
-                          if isinstance(node, BatchNorm1DNode)}}
-    return float(loss), grads, parts
+             "bn_stats": {i: cache[i][2:] for i in plan.bn_at}}
+    return float(loss), plan.grads, parts
 
 
 def adam_step(theta: np.ndarray, g: np.ndarray, state: AdamState,
@@ -299,9 +368,11 @@ def adam_step(theta: np.ndarray, g: np.ndarray, state: AdamState,
     theta -= a
 
 
-def _stack_split(samples):
+def _stack_split(samples, n_out: int):
+    """(inputs, labels) of a sample list, each label checked to be a class
+    index of a network with n_out outputs."""
     xs = np.stack([s.input for s in samples])
-    ys = np.array([s.label for s in samples], dtype=np.int64)
+    ys = _checked_labels([s.label for s in samples], n_out)
     return xs, ys
 
 
@@ -325,8 +396,9 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
     mutated. The trained net's FC weights and biases and BN gammas and betas
     are views of one parameter vector. Each batch's gradients are written
     into one gradient vector of the same layout, which one adam_step call
-    per batch reads to update the parameters in place; the BN running
-    statistics are also updated in place.
+    per batch reads to update the parameters in place. The BN running
+    statistics are views of one more vector, updated in place from the
+    plan's batch statistics.
     """
     _require_valid(net)
     if dataset.input_dim != net.input_dim:
@@ -336,21 +408,25 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
     if config.epochs == 0 or not dataset.train:
         return net, metrics
 
-    xs_all, ys_all = _stack_split(dataset.train)
+    xs_all, ys_all = _stack_split(dataset.train, net.output_dim)
     n = xs_all.shape[0]
-    test_split = _stack_split(dataset.test) if dataset.test else None
+    test_split = (_stack_split(dataset.test, net.output_dim) if dataset.test
+                  else None)
     rng = np.random.default_rng(config.seed)
-    flat = _bind_flat(net)
+    flat = _bind_flat(net, _collect_params(net))
     flat_g = np.empty_like(flat)
+    plan = _plan(net, flat_g)
+    stats = {f"{i}.{name}": getattr(net.nodes[i], name) for i in plan.bn_at
+             for name in ("running_mean", "running_var")}
+    running = _bind_flat(net, stats) if stats else None
     state = AdamState()
-    has_bn = _has_bn(net)
     mom = config.bn_momentum
 
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
         starts = list(range(0, n, config.batch_size))
         # A trailing singleton batch cannot feed batch norm; merge it back.
-        if has_bn and len(starts) > 1 and n - starts[-1] == 1:
+        if running is not None and len(starts) > 1 and n - starts[-1] == 1:
             starts.pop()
         epoch_parts = {"surrogate": 0.0, "l2": 0.0, "slim": 0.0}
         epoch_loss = 0.0
@@ -358,14 +434,11 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
             idx = perm[start:start + config.batch_size] if b < len(starts) - 1 \
                 else perm[start:]
             loss, _, parts = loss_and_grads(net, xs_all[idx], ys_all[idx],
-                                            config, out=flat_g)
+                                            config, out=flat_g, plan=plan)
             adam_step(flat, flat_g, state, config)
-            for i, (mu, var) in parts["bn_stats"].items():
-                bn = net.nodes[i]
-                bn.running_mean *= 1 - mom
-                bn.running_mean += mom * mu
-                bn.running_var *= 1 - mom
-                bn.running_var += mom * var
+            if running is not None:
+                running *= 1 - mom
+                running += mom * plan.stats
             epoch_loss += loss
             for key in epoch_parts:
                 epoch_parts[key] += parts[key]
@@ -392,8 +465,9 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
 
 
 def evaluate(net: SequentialNetwork, samples):
-    """(accuracy, misclassification count) over a sample list."""
+    """(accuracy, misclassification count) over a sample list; each label
+    must be a class index in [0, output_dim)."""
     if not samples:
         raise ValueError("cannot evaluate on an empty sample list")
-    wrong = _misclassified(net, *_stack_split(samples))
+    wrong = _misclassified(net, *_stack_split(samples, net.output_dim))
     return 1.0 - wrong / len(samples), wrong

@@ -1,4 +1,7 @@
+import gc
+import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from relukit.network import BatchNorm1DNode, FullyConnectedNode, forward_batch
 from relukit.pruning import network_slim, weight_prune
 from relukit.training import (AdamState, TrainingConfig, adam_step, evaluate,
                               init_network, loss_and_grads, train)
-from relukit.training import _assign_params, _collect_params, _forward_train
+from relukit.training import (_assign_params, _collect_params,
+                              _forward_train, _plan)
 
 
 def grad_check(net, xs, ys, config, h=1e-5):
@@ -37,11 +41,12 @@ class TestForwardTrain:
     def test_constant_batch_outputs_beta(self):
         net = random_net([3, 4, 2], seed=0)
         xs = np.tile(np.array([0.3, 0.5, 0.7]), (4, 1))
-        _, cache = _forward_train(net, xs)
+        _, cache = _forward_train(_plan(net), xs)
         bn_idx = next(i for i, n in enumerate(net.nodes)
                       if isinstance(n, BatchNorm1DNode))
         # zero batch variance -> normalized activations 0 -> BN output beta
-        assert np.allclose(cache[bn_idx]["xhat"], 0.0)
+        xhat = cache[bn_idx][0]
+        assert np.allclose(xhat, 0.0)
 
     def test_standardized_batch_identity_regime(self):
         net = init_network([2, 4, 2], seed=1, with_bn=True)
@@ -53,9 +58,10 @@ class TestForwardTrain:
         # feed a batch whose FC output is standardized by construction
         w_inv = np.linalg.pinv(fc.weights.T)
         xs2 = (pre - fc.bias) @ w_inv
-        out, cache = _forward_train(net, xs2)
-        bn_out = net.nodes[1].gamma * cache[1]["xhat"] + net.nodes[1].beta
-        assert np.allclose(bn_out, cache[1]["xhat"], atol=1e-8)
+        out, cache = _forward_train(_plan(net), xs2)
+        xhat = cache[1][0]
+        bn_out = net.nodes[1].gamma * xhat + net.nodes[1].beta
+        assert np.allclose(bn_out, xhat, atol=1e-8)
 
     def test_momentum_one_running_stats_equal_batch_stats(self):
         # One full-batch epoch: the running stats become the batch stats
@@ -118,6 +124,23 @@ class TestLossAndGrads:
         loss, _, parts = loss_and_grads(net, xs, ys, cfg)
         assert loss == pytest.approx(parts["surrogate"] + parts["l2"]
                                      + parts["slim"])
+
+    @pytest.mark.parametrize("bad", [-1, 0.7, 3, 4])
+    def test_label_outside_the_classes_rejected(self, bad):
+        net = random_net([2, 4, 3], seed=0)
+        xs = np.random.default_rng(1).uniform(size=(4, 2))
+        ys = np.array([1, bad, 2, 7])
+        with pytest.raises(ValueError, match=re.escape(
+                f"label {bad} is not a class index in [0, 3)")):
+            loss_and_grads(net, xs, ys, TrainingConfig())
+
+    def test_integral_float_labels_accepted(self):
+        net = random_net([2, 4, 3], seed=0)
+        xs = np.random.default_rng(1).uniform(size=(4, 2))
+        ys = np.array([0, 1, 2, 1])
+        loss, _, _ = loss_and_grads(net, xs, ys.astype(float),
+                                    TrainingConfig())
+        assert loss == loss_and_grads(net, xs, ys, TrainingConfig())[0]
 
 
 class TestAdamStep:
@@ -267,6 +290,29 @@ class TestTrain:
         trained, metrics = train(net, ds, cfg)
         assert metrics[-1]["test_accuracy"] >= 0.95
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_label_beyond_the_outputs_rejected(self, split):
+        ds = synth_blobs(3, 10, 3, 2, 0.2)
+        net = init_network([2, 4, 2], seed=0)
+        first = next(s.label for s in getattr(ds, split) if s.label >= 2)
+        with pytest.raises(ValueError, match=re.escape(
+                f"label {first} is not a class index in [0, 2)")):
+            train(net, ds if split == "train" else
+                  Dataset(2, 3, [s for s in ds.train if s.label < 2],
+                          ds.test), TrainingConfig(epochs=1))
+
+    def test_labels_checked_once_per_call(self, monkeypatch):
+        calls = []
+        inner = relukit.training._checked_labels
+
+        def wrapper(labels, n_out):
+            calls.append(len(labels))
+            return inner(labels, n_out)
+        monkeypatch.setattr(relukit.training, "_checked_labels", wrapper)
+        net, ds, cfg = _train_case(True, epochs=3)
+        train(net, ds, cfg)
+        assert calls == [len(ds.train), len(ds.test)]
+
     def test_sparsity_pressure_on_gamma(self):
         ds = synth_blobs(4, 40, 2, 2, 0.08)
         net = init_network([2, 12, 2], seed=2)
@@ -291,6 +337,28 @@ def _train_case(with_bn, **overrides):
     return net, ds, TrainingConfig(**cfg)
 
 
+def _bn_on_blocks_0_and_2():
+    net = random_net([5, 9, 7, 6, 3], seed=11)
+    assert isinstance(net.nodes[4], BatchNorm1DNode)
+    del net.nodes[4]  # the batch norm of hidden block 1
+    return net
+
+
+def _assert_matches_reference(net, ds, cfg):
+    got, got_metrics = train(net, ds, cfg)
+    ref, ref_metrics = reference_train(net, ds, cfg)
+    assert got_metrics == ref_metrics
+    assert len(got.nodes) == len(ref.nodes)
+    for a, b in zip(got.nodes, ref.nodes):
+        assert type(a) is type(b)
+        if isinstance(a, FullyConnectedNode):
+            assert np.array_equal(a.weights, b.weights)
+            assert np.array_equal(a.bias, b.bias)
+        elif isinstance(a, BatchNorm1DNode):
+            for name in ("gamma", "beta", "running_mean", "running_var"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
 class TestTrainMatchesReference:
     """train against tests/oracles.reference_train, the training loop as
     first written: every parameter, running statistic and per-epoch metric
@@ -309,19 +377,23 @@ class TestTrainMatchesReference:
         (True, {"batch_size": 64, "slim_lambda": 0.01}),
     ])
     def test_bit_identical(self, with_bn, overrides):
-        net, ds, cfg = _train_case(with_bn, **overrides)
-        got, got_metrics = train(net, ds, cfg)
-        ref, ref_metrics = reference_train(net, ds, cfg)
-        assert got_metrics == ref_metrics
-        assert len(got.nodes) == len(ref.nodes)
-        for a, b in zip(got.nodes, ref.nodes):
-            assert type(a) is type(b)
-            if isinstance(a, FullyConnectedNode):
-                assert np.array_equal(a.weights, b.weights)
-                assert np.array_equal(a.bias, b.bias)
-            elif isinstance(a, BatchNorm1DNode):
-                for name in ("gamma", "beta", "running_mean", "running_var"):
-                    assert np.array_equal(getattr(a, name), getattr(b, name))
+        _assert_matches_reference(*_train_case(with_bn, **overrides))
+
+    @pytest.mark.parametrize("layout, overrides", [
+        ("no_hidden", {}),
+        ("no_hidden", {"batch_size": 1, "l2_lambda": 0.1}),
+        ("bn_on_blocks_0_and_2", {"l2_lambda": 0.1, "slim_lambda": 0.05}),
+        ("bn_on_blocks_0_and_2", {"batch_size": 7}),
+        ("without_bn", {"batch_size": 1}),
+        ("without_bn", {"batch_size": 1, "l2_lambda": 0.3}),
+    ])
+    def test_edge_layouts_bit_identical(self, layout, overrides):
+        _, ds, cfg = _train_case(False, **overrides)
+        net = {"no_hidden": lambda: random_net([5, 3], seed=11),
+               "bn_on_blocks_0_and_2": _bn_on_blocks_0_and_2,
+               "without_bn": lambda: random_net([5, 9, 7, 6, 3], seed=11,
+                                                with_bn=False)}[layout]()
+        _assert_matches_reference(net, ds, cfg)
 
 
 class TestTrainAliasing:
@@ -350,12 +422,15 @@ class TestTrainAliasing:
                           _collect_params(a2).values()):
             assert np.array_equal(pa, pb + 1.0)
 
+    @pytest.mark.parametrize("with_test", [True, False])
     @pytest.mark.parametrize("batch_size, batches_per_epoch", [
         (8, 5), (7, 5), (64, 1)])
     def test_one_gradient_and_one_adam_call_per_batch(
-            self, monkeypatch, batch_size, batches_per_epoch):
-        # The benchmark times steps and spans through these module globals.
-        calls = {"loss_and_grads": 0, "adam_step": 0}
+            self, monkeypatch, batch_size, batches_per_epoch, with_test):
+        # The benchmark times steps and spans through these module globals:
+        # one loss_and_grads and one adam_step call per batch, and one
+        # forward_batch call per split and epoch for the accuracies.
+        calls = {"loss_and_grads": 0, "adam_step": 0, "forward_batch": 0}
 
         def counting(name):
             inner = getattr(relukit.training, name)
@@ -365,14 +440,33 @@ class TestTrainAliasing:
                 return inner(*args, **kwargs)
             monkeypatch.setattr(relukit.training, name, wrapper)
 
-        counting("loss_and_grads")
-        counting("adam_step")
+        for name in calls:
+            counting(name)
         net, ds, cfg = _train_case(True, batch_size=batch_size, epochs=3)
-        assert len(ds.train) == 36
+        assert len(ds.train) == 36 and ds.test
+        if not with_test:
+            ds = Dataset(ds.input_dim, ds.num_classes, ds.train, [])
         train(net, ds, cfg)
         assert calls == {"loss_and_grads": 3 * batches_per_epoch,
-                         "adam_step": 3 * batches_per_epoch}
+                         "adam_step": 3 * batches_per_epoch,
+                         "forward_batch": 3 * (2 if with_test else 1)}
 
+    def test_gradient_vector_dies_when_train_returns(self, monkeypatch):
+        # No memo in relukit.training keeps a finished run's gradient
+        # vector, or the plan that views it, alive.
+        refs = []
+        inner = relukit.training.adam_step
+
+        def adam_wrapper(theta, g, state, config):
+            if not refs:
+                refs.append(weakref.ref(g))
+            return inner(theta, g, state, config)
+        monkeypatch.setattr(relukit.training, "adam_step", adam_wrapper)
+        net, ds, cfg = _train_case(True, epochs=2)
+        trained, _ = train(net, ds, cfg)
+        gc.collect()
+        assert refs and refs[0]() is None
+        assert trained.nodes[0].weights.base is not None
 
     def test_gradients_written_into_one_vector_handed_to_adam(
             self, monkeypatch):
@@ -426,6 +520,49 @@ class TestLossAndGradsOut:
             assert np.shares_memory(arr, out)
             assert np.array_equal(arr, grads[key])
 
+    @pytest.mark.parametrize("with_bn, overrides", [
+        (True, {"l2_lambda": 0.1, "slim_lambda": 0.05}),
+        (False, {"l2_lambda": 0.3}), (True, {"batch_size": 7})])
+    def test_train_plan_matches_a_direct_call(self, monkeypatch, with_bn,
+                                              overrides):
+        # Every batch of a train run, computed once with the plan train
+        # built and once by a direct call that builds its own.
+        inner = relukit.training.loss_and_grads
+        seen = []
+
+        def both(net, xs, ys, config, out=None, *, plan=None):
+            assert plan is not None and out is not None
+            direct = inner(net, xs, ys, config)
+            loss, grads, parts = inner(net, xs, ys, config, out=out,
+                                       plan=plan)
+            assert loss == direct[0]
+            keys = list(_collect_params(net))
+            assert list(grads) == keys == list(direct[1])
+            for key in keys:
+                assert np.shares_memory(grads[key], out)
+                assert not np.shares_memory(direct[1][key], out)
+                assert np.array_equal(grads[key], direct[1][key])
+            assert list(parts) == list(direct[2])
+            for key in ("surrogate", "l2", "slim"):
+                assert parts[key] == direct[2][key]
+            assert list(parts["bn_stats"]) == list(direct[2]["bn_stats"])
+            assert bool(parts["bn_stats"]) == with_bn
+            for i, stats in parts["bn_stats"].items():
+                for a, b in zip(stats, direct[2]["bn_stats"][i]):
+                    assert np.array_equal(a, b)
+            seen.append(len(xs))
+            return loss, grads, parts
+
+        net, ds, cfg = _train_case(with_bn, **overrides)
+        expect, _ = train(net, ds, cfg)
+        monkeypatch.setattr(relukit.training, "loss_and_grads", both)
+        got, _ = train(net, ds, cfg)
+        assert sum(seen) == cfg.epochs * len(ds.train)
+        # the direct calls changed nothing the run reads
+        for a, b in zip(_collect_params(got).values(),
+                        _collect_params(expect).values()):
+            assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("out", [
         np.zeros(10), np.zeros(84, dtype=np.float32), np.zeros(168)[::2]],
         ids=["size", "dtype", "strided"])
@@ -450,6 +587,13 @@ class TestEvaluate:
         net = random_net([2, 3, 2], seed=0)
         with pytest.raises(ValueError):
             evaluate(net, [])
+
+    def test_label_beyond_the_outputs_rejected(self):
+        net = random_net([2, 4, 3], seed=1)
+        samples = [Sample(np.zeros(2), 1), Sample(np.ones(2), 7)]
+        with pytest.raises(ValueError, match=re.escape(
+                "label 7 is not a class index in [0, 3)")):
+            evaluate(net, samples)
 
     def test_matches_zero_one_risk(self):
         net = random_net([2, 4, 3], seed=1)
