@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,74 @@ class TestParse:
     def test_strict_relations_weakened(self):
         p = parse_smtlib(BASIC.replace(">= Y_0", "> Y_0"))
         assert p.violation[0][0].rhs == -0.5
+
+
+def _assert_parses_to(text, lo, hi, violation):
+    """parse_smtlib(text) gives exactly this box and violation: the same
+    float64 bytes (so the sign of zero counts), the same repr of each rhs,
+    and the same disjunct and atom order."""
+    prop = parse_smtlib(text)
+    assert prop.input_box.lo.tobytes() == np.array(lo, dtype=float).tobytes()
+    assert prop.input_box.hi.tobytes() == np.array(hi, dtype=float).tobytes()
+    got = [[(a.coeffs.tobytes(), repr(a.rhs)) for a in d]
+           for d in prop.violation]
+    want = [[(np.array(c, dtype=float).tobytes(), repr(float(r)))
+             for c, r in d] for d in violation]
+    assert got == want
+
+
+class TestParsePinned:
+    """Exact parser output on a fixed corpus."""
+
+    SHAPES = """; declarations
+(declare-const X_0 Real)(declare-const X_1 Real)
+(declare-const Y_0 Real)(declare-const Y_1 Real)(declare-const Y_2 Real)
+(assert (>= X_0 -0.0))
+(assert (and (<= X_0 0.75) (> (* 2.0 X_1) -1.0)
+             (< (- X_1) 0.5) (<= X_1 (* 0.5 -0.0))))
+(assert (or (and (<= (- Y_0 Y_1) -0.0) (> (* Y_2 -3.0) 0.25)
+                 (<= (- (* -0.0 Y_0) Y_1) 1.0))
+            (or (< (+ Y_0 (* 0.5 Y_2)) (- 1.5))
+                (and (>= Y_1 Y_2) (<= (- (- Y_0)) (* -2.0 1.5))))))
+"""
+
+    def test_shapes(self):
+        # -0.0 bounds, nested and/or, unary and binary '-', '*' with the
+        # scalar on either side, both strict relations.
+        _assert_parses_to(self.SHAPES, [-0.0, -0.5], [0.75, -0.0], [
+            [([1.0, -1.0, 0.0], -0.0), ([0.0, 0.0, 3.0], -0.25),
+             ([-0.0, -1.0, 0.0], 1.0)],
+            [([1.0, 0.0, 0.5], -1.5)],
+            [([0.0, -1.0, 1.0], -0.0), ([1.0, 0.0, 0.0], -3.0)]])
+
+    DECLS = ("(declare-const X_0 Real)"
+             + "".join(f"(declare-const Y_{j} Real)" for j in range(4))
+             + "\n(assert (and (>= X_0 0.0) (<= X_0 1.0)))\n")
+
+    @staticmethod
+    def _clause(k):
+        return (f"(assert (or (>= Y_0 {k}) (<= Y_1 (- {k}))"
+                f" (> (* {k} Y_2) Y_3) (< Y_3 (* Y_0 {k}))))\n")
+
+    def test_output_assertions_multiply_up_to_the_cap(self):
+        # Three four-way assertions: 4 * 4 * 4 = 64 disjuncts, in product
+        # order with the first assertion outermost.
+        per_assertion = [
+            [([-1.0, 0.0, 0.0, 0.0], -1.5), ([0.0, 1.0, 0.0, 0.0], -1.5),
+             ([0.0, 0.0, -1.5, 1.0], -0.0), ([-1.5, 0.0, 0.0, 1.0], -0.0)],
+            [([-1.0, 0.0, 0.0, 0.0], 0.0), ([0.0, 1.0, 0.0, 0.0], -0.0),
+             ([0.0, 0.0, 0.0, 1.0], -0.0), ([0.0, 0.0, 0.0, 1.0], -0.0)],
+            [([-1.0, 0.0, 0.0, 0.0], -2.0), ([0.0, 1.0, 0.0, 0.0], -2.0),
+             ([0.0, 0.0, -2.0, 1.0], -0.0), ([-2.0, 0.0, 0.0, 1.0], -0.0)]]
+        text = self.DECLS + "".join(self._clause(k)
+                                    for k in ("1.5", "-0.0", "2"))
+        _assert_parses_to(text, [0.0], [1.0],
+                          [list(d) for d in itertools.product(*per_assertion)])
+
+    def test_seven_separate_output_assertions_exceed_the_cap(self):
+        text = self.DECLS + "(assert (or (>= Y_0 0.0) (>= Y_1 0.0)))\n" * 7
+        with pytest.raises(PropertyParseError, match="64-disjunct cap"):
+            parse_smtlib(text)
 
 
 class TestEmit:
