@@ -11,6 +11,7 @@ import sys
 
 from .config import (ConfigError, bab_config_from, dataset_from, int_list,
                      training_config_from, validate_keys)
+from .datasets import Dataset
 from .experiment import robustness_queries, run_experiment
 from .model_io import atomic_write_text, load_model, save_model
 from .network import network_stats
@@ -81,12 +82,9 @@ def cmd_train(args) -> int:
 
 def cmd_prune(args) -> int:
     net = load_model(args.model)
-    method = {"wp": "weight_pruning", "ns": "network_slimming"}.get(args.method)
-    if method is None:
-        raise ConfigError(f"invalid method {args.method!r} (use wp or ns)")
+    method = {"wp": "weight_pruning", "ns": "network_slimming"}[args.method]
     config = _load_config(args.config) if args.config else {}
     validate_keys(config, ("dataset", "pre_train", "fine_tune"), "config")
-    from .datasets import Dataset
     dataset = (dataset_from(config["dataset"]) if "dataset" in config
                else Dataset(net.input_dim, net.output_dim))
     prune_cfg = PruningConfig(
@@ -218,8 +216,17 @@ def cmd_experiment(args) -> int:
 
 # --- argument parsing ------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits EXIT_ERROR, not argparse's 2 (verify Unknown).
+    Subcommand parsers are built from this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relukit",
         description="Train, prune, verify and repair fully-connected "
                     "ReLU networks.")

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensor import as_int
+
 __all__ = ["Sample", "Dataset", "IdxFormatError", "load_idx_dataset", "synth_blobs"]
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -26,7 +28,7 @@ class Sample:
 
     def __post_init__(self):
         self.input = np.asarray(self.input, dtype=np.float64)
-        self.label = int(self.label)
+        self.label = as_int(self.label, "label")
 
 
 @dataclass

@@ -7,6 +7,7 @@ to satisfy every atom of some disjunct; a verifier proves the property by
 showing no such input exists.
 """
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -62,6 +63,8 @@ class LinearAtom:
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
         self.rhs = float(self.rhs)
+        if not (np.all(np.isfinite(self.coeffs)) and math.isfinite(self.rhs)):
+            raise ValueError("atom coefficients and rhs must be finite")
         if not np.any(self.coeffs != 0.0):
             raise ValueError("atom with all-zero coefficients")
 
@@ -147,152 +150,113 @@ def _atom_pos(expr):
     return None
 
 
-class _LinTerm:
-    """Sparse linear term: var name -> coefficient, plus a constant."""
-
-    def __init__(self, const=0.0, coeffs=None):
-        self.const = float(const)
-        self.coeffs = dict(coeffs or {})
-
-    def add(self, other, sign=1.0):
-        self.const += sign * other.const
-        for var, c in other.coeffs.items():
-            self.coeffs[var] = self.coeffs.get(var, 0.0) + sign * c
-        return self
+def _add(term: dict, other: dict, sign: float = 1.0) -> dict:
+    """term += sign * other, in place."""
+    for var, c in other.items():
+        term[var] = term.get(var, 0.0) + sign * c
+    return term
 
 
-def _parse_term(expr, declared) -> _LinTerm:
+def _parse_term(expr, declared) -> dict:
+    """Linear term: var name -> coefficient, and "" -> the constant."""
     if isinstance(expr, tuple):
         token, line, col = expr
         if _VAR_RE.match(token):
             if token not in declared:
                 raise _err((line, col), f"undeclared variable {token}")
-            return _LinTerm(coeffs={token: 1.0})
+            return {"": 0.0, token: 1.0}
         try:
-            return _LinTerm(const=float(token))
+            value = float(token)
         except ValueError:
             raise _err((line, col), f"unknown symbol {token!r}") from None
+        if not math.isfinite(value):
+            raise _err((line, col), f"non-finite number {token!r}")
+        return {"": value}
     if not expr:
         raise PropertyParseError("empty term")
     head = expr[0]
     if not isinstance(head, tuple):
         raise _err(_atom_pos(expr), "expected an operator")
-    op = head[0]
-    args = expr[1:]
-    if op == "+":
-        out = _LinTerm()
+    op, pos, args = head[0], head[1:], expr[1:]
+    if op == "+" or (op == "-" and len(args) == 1):
+        out = {"": 0.0}
         for a in args:
-            out.add(_parse_term(a, declared))
+            _add(out, _parse_term(a, declared), -1.0 if op == "-" else 1.0)
         return out
     if op == "-":
-        if len(args) == 1:
-            return _LinTerm().add(_parse_term(args[0], declared), sign=-1.0)
-        if len(args) == 2:
-            out = _parse_term(args[0], declared)
-            return out.add(_parse_term(args[1], declared), sign=-1.0)
-        raise _err(head[1:], "'-' takes one or two arguments")
+        if len(args) != 2:
+            raise _err(pos, "'-' takes one or two arguments")
+        return _add(_parse_term(args[0], declared),
+                    _parse_term(args[1], declared), -1.0)
     if op == "*":
         if len(args) != 2:
-            raise _err(head[1:], "'*' takes exactly two arguments")
+            raise _err(pos, "'*' takes exactly two arguments")
         left = _parse_term(args[0], declared)
         right = _parse_term(args[1], declared)
-        if left.coeffs and right.coeffs:
-            raise _err(head[1:], "nonlinear product of variables")
-        if right.coeffs:
+        if len(left) > 1 and len(right) > 1:
+            raise _err(pos, "nonlinear product of variables")
+        if len(right) > 1:
             left, right = right, left
-        return _LinTerm(const=left.const * right.const,
-                        coeffs={v: c * right.const for v, c in left.coeffs.items()})
-    raise _err(head[1:], f"unsupported term operator {op!r}")
+        return {v: c * right[""] for v, c in left.items()}
+    raise _err(pos, f"unsupported term operator {op!r}")
 
 
-_RELATIONS = {"<=", ">=", "<", ">"}
+def _capped(dnf):
+    if len(dnf) > DNF_CAP:
+        raise PropertyParseError(
+            f"violation condition exceeds the {DNF_CAP}-disjunct cap")
+    return dnf
 
 
-def _parse_formula(expr, declared):
-    """Formula tree: ("atom", lin_term_normalized_to_<=0) | ("and"/"or", kids)."""
+def _parse_dnf(expr, declared):
+    """A formula in DNF: a list of conjunctions, each a list of atoms
+    (term, pos, kind) with term <= 0 and kind "X" (input) or "Y" (output)."""
     if isinstance(expr, tuple) or not expr:
         raise _err(_atom_pos(expr) if not isinstance(expr, tuple) else expr[1:],
                    "expected a formula")
     head = expr[0]
     if not isinstance(head, tuple):
         raise _err(_atom_pos(expr), "expected a formula operator")
-    op = head[0]
+    op, pos, args = head[0], head[1:], expr[1:]
     if op in ("and", "or"):
-        if len(expr) < 2:
-            raise _err(head[1:], f"'{op}' needs at least one argument")
-        return (op, [_parse_formula(a, declared) for a in expr[1:]])
-    if op in _RELATIONS:
-        if len(expr) != 3:
-            raise _err(head[1:], f"'{op}' takes exactly two arguments")
-        left = _parse_term(expr[1], declared)
-        right = _parse_term(expr[2], declared)
+        if not args:
+            raise _err(pos, f"'{op}' needs at least one argument")
+        out = [] if op == "or" else [[]]
+        for a in args:
+            kid = _parse_dnf(a, declared)
+            out = _capped(out + kid if op == "or"
+                          else [c + k for c in out for k in kid])
+        return out
+    if op in ("<=", ">=", "<", ">"):
+        if len(args) != 2:
+            raise _err(pos, f"'{op}' takes exactly two arguments")
+        left = _parse_term(args[0], declared)
+        right = _parse_term(args[1], declared)
         # Normalize to left - right <= 0; strict relations weakened to closed.
         if op in (">=", ">"):
             left, right = right, left
-        term = left.add(right, sign=-1.0)
-        return ("atom", term, head[1:])
-    raise _err(head[1:], f"unsupported formula operator {op!r}")
-
-
-def _term_kind(term: _LinTerm, pos):
-    kinds = {v[0] for v, c in term.coeffs.items() if c != 0.0}
-    if kinds == {"X"}:
-        return "X"
-    if kinds == {"Y"}:
-        return "Y"
-    if not kinds:
-        raise _err(pos, "constraint with no variables")
-    raise _err(pos, "constraint mixes input and output variables")
-
-
-def _formula_atoms(tree):
-    if tree[0] == "atom":
-        yield tree
-    else:
-        for kid in tree[1]:
-            yield from _formula_atoms(kid)
-
-
-def _to_dnf(tree):
-    if tree[0] == "atom":
-        return [[tree]]
-    if tree[0] == "or":
-        out = []
-        for kid in tree[1]:
-            out.extend(_to_dnf(kid))
-            if len(out) > DNF_CAP:
-                raise PropertyParseError(
-                    f"violation condition exceeds the {DNF_CAP}-disjunct cap")
-        return out
-    # and: cross product
-    out = [[]]
-    for kid in tree[1]:
-        kid_dnf = _to_dnf(kid)
-        out = [a + b for a in out for b in kid_dnf]
-        if len(out) > DNF_CAP:
-            raise PropertyParseError(
-                f"violation condition exceeds the {DNF_CAP}-disjunct cap")
-    return out
-
-
-def _dense(term: _LinTerm, dim: int):
-    coeffs = np.zeros(dim)
-    for var, c in term.coeffs.items():
-        coeffs[int(var.split("_")[1])] = c
-    return coeffs
+        term = _add(left, right, -1.0)
+        if not all(math.isfinite(c) for c in term.values()):
+            raise _err(pos, "constraint overflows to a non-finite number")
+        kinds = {v[0] for v, c in term.items() if v and c != 0.0}
+        if len(kinds) != 1:
+            raise _err(pos, "constraint mixes input and output variables"
+                       if kinds else "constraint with no variables")
+        return [[(term, pos, kinds.pop())]]
+    raise _err(pos, f"unsupported formula operator {op!r}")
 
 
 def parse_smtlib(text: str) -> Property:
     """Parse the supported SMT-LIB subset into a Property.
 
-    Input assertions must be per-variable box constraints; output assertions
-    may use and/or over linear atoms and are flattened to DNF (capped at 64
-    disjuncts).
+    Each assertion is parsed to DNF. An input assertion must be one
+    conjunction of per-variable bounds; the output assertions are conjoined
+    into the violation condition (capped at 64 disjuncts).
     """
     exprs = _parse_sexprs(_tokenize(text))
     declared: dict[str, int] = {}
-    x_formulas = []
-    y_formulas = []
+    bounds = []  # (X index, coefficient, bound) per input atom
+    violation = [[]]
     for expr in exprs:
         if isinstance(expr, tuple):
             raise _err(expr[1:], f"unexpected top-level token {expr[0]!r}")
@@ -314,77 +278,65 @@ def parse_smtlib(text: str) -> Property:
         elif cmd == "assert":
             if len(expr) != 2:
                 raise _err(expr[0][1:], "assert takes exactly one formula")
-            tree = _parse_formula(expr[1], declared)
-            atoms = list(_formula_atoms(tree))
-            kinds = {_term_kind(a[1], a[2]) for a in atoms}
-            if kinds == {"X"}:
-                x_formulas.append(tree)
-            elif kinds == {"Y"}:
-                y_formulas.append(tree)
-            else:
-                raise _err(atoms[0][2],
-                           "assertion mixes input and output variables")
+            dnf = _parse_dnf(expr[1], declared)
+            first = dnf[0][0][1]
+            kinds = {kind for conj in dnf for _, _, kind in conj}
+            if len(kinds) > 1:
+                raise _err(first, "assertion mixes input and output variables")
+            if kinds == {"Y"}:
+                violation = _capped([v + c for v in violation for c in dnf])
+                continue
+            if len(dnf) > 1:
+                raise _err(first, "disjunctive input constraints are not box "
+                           "constraints")
+            for term, pos, _ in dnf[0]:
+                live = [(v, c) for v, c in term.items() if v and c != 0.0]
+                if len(live) != 1:
+                    raise _err(pos, "non-box input constraint "
+                               "(must bound a single X variable)")
+                (var, c), = live
+                bounds.append((declared[var], c, -term[""] / c))
         elif cmd in ("set-logic", "set-info", "set-option", "check-sat", "exit"):
             continue  # accepted and ignored
         else:
             raise _err(expr[0][1:], f"unsupported command {cmd!r}")
 
-    x_names = sorted((v for v in declared if v.startswith("X_")),
-                     key=lambda v: declared[v])
-    y_names = sorted((v for v in declared if v.startswith("Y_")),
-                     key=lambda v: declared[v])
-    d, m = len(x_names), len(y_names)
-    if d == 0 or m == 0:
+    indices = [sorted(i for v, i in declared.items() if v[0] == kind)
+               for kind in "XY"]
+    if not all(indices):
         raise PropertyParseError("need at least one X_<i> and one Y_<j> constant")
-    if {declared[v] for v in x_names} != set(range(d)):
-        raise PropertyParseError("X indices must be contiguous from 0")
-    if {declared[v] for v in y_names} != set(range(m)):
-        raise PropertyParseError("Y indices must be contiguous from 0")
+    for kind, idx in zip("XY", indices):
+        if idx != list(range(len(idx))):
+            raise PropertyParseError(f"{kind} indices must be contiguous from 0")
+    d, m = map(len, indices)
 
     lo = np.full(d, -np.inf)
     hi = np.full(d, np.inf)
-    for tree in x_formulas:
-        if _contains_or(tree):
-            raise _err(_atom_pos_of_tree(tree), "disjunctive input constraints "
-                       "are not box constraints")
-        for kind, term, pos in _formula_atoms(tree):
-            live = {v: c for v, c in term.coeffs.items() if c != 0.0}
-            if len(live) != 1:
-                raise _err(pos, "non-box input constraint "
-                           "(must bound a single X variable)")
-            (var, c), = live.items()
-            bound = -term.const / c
-            i = int(var.split("_")[1])
-            if c > 0:
-                hi[i] = min(hi[i], bound)
-            else:
-                lo[i] = max(lo[i], bound)
+    for i, c, bound in bounds:
+        if c > 0:
+            hi[i] = min(hi[i], bound)
+        else:
+            lo[i] = max(lo[i], bound)
     for i in range(d):
         if not np.isfinite(lo[i]) or not np.isfinite(hi[i]):
             raise PropertyParseError(f"input X_{i} is not bounded on both sides")
+        if lo[i] > hi[i]:
+            raise PropertyParseError(f"input X_{i} has lower bound {lo[i]} "
+                                     f"above its upper bound {hi[i]}")
 
-    if not y_formulas:
+    if violation == [[]]:
         raise PropertyParseError("no output assertion (violation condition)")
-    combined = ("and", y_formulas) if len(y_formulas) > 1 else y_formulas[0]
-    disjuncts = []
-    for conj in _to_dnf(combined):
-        disjuncts.append([
-            LinearAtom(_dense(term, m), -term.const)
-            for _, term, _ in conj])
+
+    def output_atom(term):
+        coeffs = np.zeros(m)
+        for var, c in term.items():
+            if var.startswith("Y"):
+                coeffs[declared[var]] = c
+        return LinearAtom(coeffs, -term[""])
+    disjuncts = [[output_atom(term) for term, _, _ in conj]
+                 for conj in violation]
     return Property(Box(lo, hi), disjuncts, num_outputs=m,
                     source={"type": "smtlib"})
-
-
-def _contains_or(tree) -> bool:
-    if tree[0] == "atom":
-        return False
-    return tree[0] == "or" or any(_contains_or(kid) for kid in tree[1])
-
-
-def _atom_pos_of_tree(tree):
-    for _, _term, pos in _formula_atoms(tree):
-        return pos
-    return None
 
 
 # --- emitting --------------------------------------------------------------

@@ -50,6 +50,8 @@ def check_finite(arr: np.ndarray, context: str = "result") -> np.ndarray:
 def as_int(value, name: str) -> int:
     """value as an int; ValueError naming `name` when it is not an integer.
     A bool is not one; a numpy integer is."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)

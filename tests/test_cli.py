@@ -461,3 +461,45 @@ class TestAtomicWrites:
                      "--out", str(target)]) == 3
         assert not target.exists()
         assert list(tmp_path.glob("*.tmp*")) == []
+
+
+class TestUsageErrors:
+    """A usage error exits 3, never 2 (the code of verify Unknown)."""
+
+    @pytest.mark.parametrize("argv", [
+        # a bad flag value
+        ["train", "--config", "c.json", "--out", "m.json", "--seed", "x"],
+        ["prune", "--model", "m.json", "--out", "o.json", "--method", "wp",
+         "--ratio", "half"],
+        ["verify", "--model", "m.json", "--max-nodes", "2.5"],
+        ["export-smtlib", "--config", "c.json", "--sample-index", "1.5",
+         "--epsilon", "0.1", "--out", "p.smt2"],
+        # an invalid choice
+        ["prune", "--model", "m.json", "--out", "o.json", "--method", "zz"],
+        ["verify", "--model", "m.json", "--engine", "smt"],
+        ["eval", "--model", "m.json", "--config", "c.json", "--split", "dev"],
+        # a missing required flag
+        ["train", "--out", "m.json"],
+        ["prune", "--model", "m.json", "--out", "o.json"],
+        ["verify"],
+        ["repair", "--model", "m.json", "--out", "o.json"],
+        ["eval", "--model", "m.json"],
+        ["info"],
+        ["export-smtlib", "--config", "c.json", "--out", "p.smt2"],
+        ["experiment", "--config", "c.json"],
+        # no command, an unknown command, an unknown flag
+        [], ["frobnicate"], ["info", "--model", "m.json", "--verbose"],
+    ])
+    def test_exits_three(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: relukit") and "error:" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: relukit" in capsys.readouterr().out

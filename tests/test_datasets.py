@@ -155,6 +155,15 @@ class TestAddSamples:
                                              r"\(2,\)"):
             ds.add_train_sample(Sample(np.array(value), 0))
 
+    @pytest.mark.parametrize("label", [0.7, 1.0, True, "1", None])
+    def test_non_integer_label_rejected(self, label):
+        with pytest.raises(ValueError, match="label must be an integer"):
+            Sample(np.array([0.5]), label)
+
+    def test_numpy_integer_label_accepted(self):
+        sample = Sample(np.array([0.5]), np.uint8(1))
+        assert sample.label == 1 and type(sample.label) is int
+
     def test_growth_is_exact(self):
         ds = Dataset(input_dim=1, num_classes=2)
         for k in range(5):

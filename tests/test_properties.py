@@ -102,6 +102,55 @@ class TestParse:
         p = parse_smtlib(BASIC.replace(">= Y_0", "> Y_0"))
         assert p.violation[0][0].rhs == -0.5
 
+    def test_one_disjunct_or_on_input_is_a_box(self):
+        p = parse_smtlib("(declare-const X_0 Real)(declare-const Y_0 Real)"
+                         "(assert (or (and (>= X_0 0.0) (<= X_0 1.0))))"
+                         "(assert (>= Y_0 0.5))")
+        assert p.input_box.lo.tolist() == [0.0]
+        assert p.input_box.hi.tolist() == [1.0]
+
+    def test_two_disjunct_or_on_input_rejected(self):
+        with pytest.raises(PropertyParseError, match="line 1, col 62: "
+                           "disjunctive input"):
+            parse_smtlib("(declare-const X_0 Real)(declare-const Y_0 Real)"
+                         "(assert (or (>= X_0 0.0) (<= X_0 1.0)))")
+
+    def test_first_error_in_document_order(self):
+        # The atom without variables comes before the unknown symbol.
+        with pytest.raises(PropertyParseError,
+                           match="line 7, col 15: constraint with no"):
+            parse_smtlib(BASIC + "(assert (and (<= 1.0 2.0) (<= frob 1.0)))")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-infinity", "1e400"])
+    def test_non_finite_numeral_rejected(self, token):
+        with pytest.raises(PropertyParseError,
+                           match=f"line 7, col 23: non-finite number '{token}'"):
+            parse_smtlib(BASIC + f"(assert (<= (* 2.0 (* {token} Y_0)) 1.0))")
+
+    def test_overflowing_constraint_rejected(self):
+        with pytest.raises(PropertyParseError,
+                           match="line 7, col 10: .*overflow"):
+            parse_smtlib(BASIC + "(assert (<= (* 1e200 (* 1e200 Y_0)) 1.0))")
+
+    def test_crossing_input_bounds_name_the_variable(self):
+        with pytest.raises(PropertyParseError,
+                           match="X_0 has lower bound 2.0 above its upper"):
+            parse_smtlib("(declare-const X_0 Real)(declare-const Y_0 Real)"
+                         "(assert (>= X_0 2))(assert (<= X_0 1))"
+                         "(assert (>= Y_0 0.5))")
+
+    def test_zero_input_coefficient_in_output_atom_is_dropped(self):
+        # X_1 has index 1 like Y_1, and X_0 index 0 like Y_0; neither may
+        # reach the output coefficients.
+        p = parse_smtlib("(declare-const X_0 Real)(declare-const X_1 Real)"
+                         "(declare-const Y_0 Real)(declare-const Y_1 Real)"
+                         "(assert (and (>= X_0 0) (<= X_0 1)))"
+                         "(assert (and (>= X_1 0) (<= X_1 1)))"
+                         "(assert (<= (+ Y_0 Y_1 (* 0 X_1)) 1))"
+                         "(assert (<= (+ Y_0 (* 0 X_0)) 2))")
+        assert [a.coeffs.tolist() for a in p.violation[0]] == [[1.0, 1.0],
+                                                               [1.0, 0.0]]
+
 
 def _assert_parses_to(text, lo, hi, violation):
     """parse_smtlib(text) gives exactly this box and violation: the same
@@ -129,7 +178,8 @@ class TestParsePinned:
 (assert (or (and (<= (- Y_0 Y_1) -0.0) (> (* Y_2 -3.0) 0.25)
                  (<= (- (* -0.0 Y_0) Y_1) 1.0))
             (or (< (+ Y_0 (* 0.5 Y_2)) (- 1.5))
-                (and (>= Y_1 Y_2) (<= (- (- Y_0)) (* -2.0 1.5))))))
+                (and (>= Y_1 Y_2) (<= (- (- Y_0)) (* -2.0 1.5))))
+            (<= (+ (* -1 Y_0) -0.0) 0.0)))
 """
 
     def test_shapes(self):
@@ -139,7 +189,8 @@ class TestParsePinned:
             [([1.0, -1.0, 0.0], -0.0), ([0.0, 0.0, 3.0], -0.25),
              ([-0.0, -1.0, 0.0], 1.0)],
             [([1.0, 0.0, 0.5], -1.5)],
-            [([0.0, -1.0, 1.0], -0.0), ([1.0, 0.0, 0.0], -3.0)]])
+            [([0.0, -1.0, 1.0], -0.0), ([1.0, 0.0, 0.0], -3.0)],
+            [([-1.0, 0.0, 0.0], -0.0)]])
 
     DECLS = ("(declare-const X_0 Real)"
              + "".join(f"(declare-const Y_{j} Real)" for j in range(4))
@@ -249,3 +300,10 @@ class TestModelInvariants:
     def test_atom_rejects_zero_coeffs(self):
         with pytest.raises(ValueError):
             LinearAtom([0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("coeffs,rhs", [([np.inf, 1.0], 0.0),
+                                            ([1.0, np.nan], 0.0),
+                                            ([1.0, 0.0], np.nan)])
+    def test_atom_rejects_non_finite(self, coeffs, rhs):
+        with pytest.raises(ValueError, match="finite"):
+            LinearAtom(coeffs, rhs)
