@@ -18,7 +18,7 @@ from .properties import Box, robustness_property
 from .pruning import PruningConfig, network_slim, weight_prune
 from .tensor import as_int
 from .training import evaluate, init_network, train
-from .verifier import Status, verify_bab
+from .verifier import Status, _solver, verify_bab
 
 __all__ = ["robustness_queries", "run_experiment"]
 
@@ -125,6 +125,7 @@ def run_experiment(config: dict) -> dict:
     queries = _queries_from(config.get("queries", {}), dataset)
     variants = [("Baseline", baseline), ("Sparse", sparse),
                 ("WP", wp_net), ("NS", ns_net)]
+    _solver()  # loads HiGHS now, so that no query's time carries the load
     rows = [_verify_variant(name, net, queries, bab_cfg)
             for name, net in variants]
     summary = {}

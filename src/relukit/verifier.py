@@ -15,7 +15,6 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize._highspy import _core as _highs
 
 from .network import (FullyConnectedNode, ReLUNode, SequentialNetwork,
                       _params, _require_valid, fold_batchnorm, forward,
@@ -74,10 +73,11 @@ class BabConfig:
     """Limits and seeds of verify_bab. max_nodes counts every node, phase
     splits too; time_budget (seconds) is checked before each node, so one
     leaf's LPs, one sampling batch or the root descent's DESCENT_STEPS steps
-    can overrun it. A node with 1 to enum_threshold unstable ReLUs branches
-    on a ReLU phase. sample_count uniform points, with the centre, are tried
-    at each node with a new box, and the root descent starts from them;
-    0 turns the descent off."""
+    can overrun it. So can the first LP of a process, which loads the solver
+    (about 0.4 s, counted in that call's wall_time). A node with 1 to
+    enum_threshold unstable ReLUs branches on a ReLU phase. sample_count
+    uniform points, with the centre, are tried at each node with a new box,
+    and the root descent starts from them; 0 turns the descent off."""
     max_nodes: int = 100000
     min_box_width: float = 1e-6
     enum_threshold: int = 12
@@ -377,16 +377,35 @@ class LPResult(NamedTuple):
     message: str = ""
 
 
+def _highs_api():
+    """scipy's HiGHS binding, imported at the first LP and then kept as the
+    module attribute `_highs`: importing it loads all of scipy.optimize
+    (about 0.4 s and 41 MB), which a process that solves no LP skips."""
+    api = globals().get("_highs")
+    if api is None:
+        from scipy.optimize._highspy import _core as api
+        globals()["_highs"] = api
+    return api
+
+
+def __getattr__(name):
+    """PEP 562: `verifier._highs` resolves before the first LP too."""
+    if name == "_highs":
+        return _highs_api()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _solver():
     """This thread's HiGHS solver, created and configured on first use with
     the options scipy's linprog(method="highs") passes: no output, presolve
     on, dual simplex."""
     highs = getattr(_thread, "highs", None)
     if highs is None:
-        highs = _highs._Highs()
+        api = _highs_api()
+        highs = api._Highs()
         for name, value in (("output_flag", False), ("log_to_console", False),
                             ("presolve", "on"), ("simplex_strategy", 1)):
-            if highs.setOptionValue(name, value) != _highs.HighsStatus.kOk:
+            if highs.setOptionValue(name, value) != api.HighsStatus.kOk:
                 raise RuntimeError(f"HiGHS rejected option {name}={value!r}")
         _thread.highs = highs
     return highs
@@ -406,26 +425,27 @@ def linprog(a_ub: np.ndarray, b_ub: np.ndarray, lo: np.ndarray,
     if b_ub.shape != (m,) or lo.shape != (n,) or hi.shape != (n,):
         raise ValueError(f"a_ub {a_ub.shape}, b_ub {b_ub.shape}, lo "
                          f"{lo.shape} and hi {hi.shape} do not fit together")
-    lp = _highs.HighsLp()
+    api = _highs_api()
+    lp = api.HighsLp()
     lp.num_col_, lp.num_row_ = n, m
     lp.col_cost_ = np.zeros(n)
     lp.col_lower_, lp.col_upper_ = lo, hi
-    lp.row_lower_ = np.full(m, -_highs.kHighsInf)
+    lp.row_lower_ = np.full(m, -api.kHighsInf)
     lp.row_upper_ = b_ub
     mat = lp.a_matrix_
-    mat.format_ = _highs.MatrixFormat.kRowwise
+    mat.format_ = api.MatrixFormat.kRowwise
     mat.num_col_, mat.num_row_ = n, m
     mat.start_ = np.arange(0, m * n + 1, n, dtype=np.int32)
     mat.index_ = np.tile(np.arange(n, dtype=np.int32), m)
     mat.value_ = a_ub.ravel()
     highs = _solver()
-    if (highs.passModel(lp) == _highs.HighsStatus.kError
-            or highs.run() == _highs.HighsStatus.kError):
+    if (highs.passModel(lp) == api.HighsStatus.kError
+            or highs.run() == api.HighsStatus.kError):
         return LPResult(4, message="HiGHS failed to load or solve the LP")
     status = highs.getModelStatus()
-    if status == _highs.HighsModelStatus.kInfeasible:
+    if status == api.HighsModelStatus.kInfeasible:
         return LPResult(2)
-    if status != _highs.HighsModelStatus.kOptimal:
+    if status != api.HighsModelStatus.kOptimal:
         return LPResult(4, message="HiGHS model status "
                         + highs.modelStatusToString(status))
     x = np.array(highs.getSolution().col_value)
@@ -642,10 +662,10 @@ def falsify_sample(net: SequentialNetwork, prop: Property, n_samples: int,
     box = prop.input_box
     points = []
     if box.dim <= 12:
-        grid = np.stack(np.meshgrid(*[(box.lo[i], box.hi[i])
-                                      for i in range(box.dim)],
-                                    indexing="ij"), axis=-1)
-        points.append(grid.reshape(-1, box.dim))
+        # corner k takes hi in dimension i where bit dim-1-i of k is set
+        bits = (np.arange(2 ** box.dim)[:, None]
+                & (1 << np.arange(box.dim - 1, -1, -1))) != 0
+        points.append(np.where(bits, box.hi, box.lo))
     if n_samples > 0:
         rng = np.random.default_rng(seed)
         points.append(rng.uniform(box.lo, box.hi, size=(n_samples, box.dim)))

@@ -55,6 +55,18 @@ class TestRunExperiment:
         assert a["table"] == b["table"]
         assert a["networks"] == b["networks"]
 
+    def test_solver_loads_before_any_query_is_timed(self, monkeypatch):
+        # the first LP of a process loads HiGHS, about 0.4 s
+        calls = []
+        verify = relukit.experiment.verify_bab
+        monkeypatch.setattr(relukit.experiment, "_solver",
+                            lambda: calls.append("solver"))
+        monkeypatch.setattr(relukit.experiment, "verify_bab",
+                            lambda *args: calls.append("verify")
+                            or verify(*args))
+        run_experiment(small_config())
+        assert calls == ["solver"] + ["verify"] * 16
+
     def test_missing_section_errors(self):
         cfg = small_config()
         del cfg["baseline_train"]

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 import threading
 import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -1144,6 +1148,21 @@ class TestFalsifySample:
                 res = verify_bab(net, prop, BabConfig(seed=seed))
                 assert res.status == Status.FALSIFIED
 
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_corners_in_meshgrid_order(self, monkeypatch, d):
+        rng = np.random.default_rng(d)
+        lo = rng.uniform(-1.0, 0.0, size=d)
+        box = Box(lo, lo + rng.uniform(0.0, 1.0, size=d))
+        tried = []
+        monkeypatch.setattr(verifier, "_falsify",
+                            lambda *args: tried.append(args[-1]))
+        falsify_sample(identity_net(d),
+                       Property(box, violation(-np.eye(d)[0], -2.0), d), 0)
+        grid = np.stack(np.meshgrid(*[(box.lo[i], box.hi[i])
+                                      for i in range(d)], indexing="ij"),
+                        axis=-1).reshape(-1, d)
+        assert len(tried) == 1 and np.array_equal(tried[0], grid)
+
 
 class TestRootUnstable:
     def test_counts_straddling_neurons(self):
@@ -1330,3 +1349,45 @@ class TestFoldMemo:
                 assert steps
             else:
                 assert leaves and steps == 0
+
+
+LEAN_SCRIPT = """
+import sys
+import numpy as np
+import relukit
+from relukit import cli, verifier
+from relukit.properties import Box, LinearAtom, Property
+
+data = relukit.synth_blobs(seed=0, n_per_class=10, num_classes=2, dim=2,
+                           spread=0.1)
+net, _ = relukit.train(relukit.init_network([2, 4, 2], seed=0), data,
+                       relukit.TrainingConfig(epochs=1, batch_size=8))
+box = Box(np.zeros(2), np.ones(2))
+ident = relukit.SequentialNetwork("id", 2, [relukit.FullyConnectedNode(
+    np.eye(2), np.zeros(2))])
+safe = Property(box, [[LinearAtom(np.array([-1.0, 0.0]), -2.0)]], 2)
+res = relukit.verify_bab(ident, safe)
+assert res.status == relukit.Status.VERIFIED, res
+assert res.stats["lp_calls"] == 0, res.stats
+assert relukit.falsify_sample(ident, safe, 16) is None
+verifier.root_unstable_count(net, box)
+relukit.save_model(net, sys.argv[1])
+assert cli.main(["info", "--model", sys.argv[1]]) == 0
+assert "scipy.optimize" not in sys.modules, "an LP-free run loaded scipy"
+x = verifier.lp_feasible(np.array([[1.0, 1.0]]), np.array([1.0]), box)
+assert box.contains(x, 1e-9) and x.sum() <= 1.0 + 1e-9, x
+assert verifier._highs is sys.modules["scipy.optimize._highspy._core"]
+print("lean")
+"""
+
+
+class TestLeanImport:
+    def test_highs_loads_at_the_first_lp(self, tmp_path):
+        # a fresh interpreter, so that no earlier test has loaded scipy
+        src = str(Path(verifier.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", LEAN_SCRIPT,
+                               str(tmp_path / "net.json")],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.endswith("lean\n")
