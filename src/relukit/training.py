@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .datasets import Dataset
+from .datasets import Dataset, Split
 from .network import (BatchNorm1DNode, FullyConnectedNode, ReLUNode,
                       SequentialNetwork, _require_valid, forward_batch)
 from .tensor import NonFiniteError, require_int
@@ -368,14 +368,6 @@ def adam_step(theta: np.ndarray, g: np.ndarray, state: AdamState,
     theta -= a
 
 
-def _stack_split(samples, n_out: int):
-    """(inputs, labels) of a sample list, each label checked to be a class
-    index of a network with n_out outputs."""
-    xs = np.stack([s.input for s in samples])
-    ys = _checked_labels([s.label for s in samples], n_out)
-    return xs, ys
-
-
 def _misclassified(net: SequentialNetwork, xs, ys) -> int:
     return int((forward_batch(net, xs).argmax(axis=1) != ys).sum())
 
@@ -393,12 +385,13 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
     """Mini-batch Adam training; returns (trained_net, per-epoch metrics).
 
     Deterministic for fixed (net, dataset, config); the input net is not
-    mutated. The trained net's FC weights and biases and BN gammas and betas
-    are views of one parameter vector. Each batch's gradients are written
-    into one gradient vector of the same layout, which one adam_step call
-    per batch reads to update the parameters in place. The BN running
-    statistics are views of one more vector, updated in place from the
-    plan's batch statistics.
+    mutated. Batches are gathered from the train split's arrays, and the
+    per-epoch accuracies read both splits' arrays in place. The trained
+    net's FC weights and biases and BN gammas and betas are views of one
+    parameter vector. Each batch's gradients are written into one gradient
+    vector of the same layout, which one adam_step call per batch reads to
+    update the parameters in place. The BN running statistics are views of
+    one more vector, updated in place from the plan's batch statistics.
     """
     _require_valid(net)
     if dataset.input_dim != net.input_dim:
@@ -408,10 +401,12 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
     if config.epochs == 0 or not dataset.train:
         return net, metrics
 
-    xs_all, ys_all = _stack_split(dataset.train, net.output_dim)
+    xs_all = dataset.train.xs
+    ys_all = _checked_labels(dataset.train.ys, net.output_dim)
     n = xs_all.shape[0]
-    test_split = (_stack_split(dataset.test, net.output_dim) if dataset.test
-                  else None)
+    test_split = ((dataset.test.xs,
+                   _checked_labels(dataset.test.ys, net.output_dim))
+                  if dataset.test else None)
     rng = np.random.default_rng(config.seed)
     flat = _bind_flat(net, _collect_params(net))
     flat_g = np.empty_like(flat)
@@ -465,9 +460,12 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
 
 
 def evaluate(net: SequentialNetwork, samples):
-    """(accuracy, misclassification count) over a sample list; each label
-    must be a class index in [0, output_dim)."""
-    if not samples:
+    """(accuracy, misclassification count) over a Split, read in place, or
+    any other iterable of Samples, copied into one first; each label must be
+    a class index in [0, output_dim)."""
+    split = Split.of(samples, net.input_dim)
+    if not split:
         raise ValueError("cannot evaluate on an empty sample list")
-    wrong = _misclassified(net, *_stack_split(samples, net.output_dim))
-    return 1.0 - wrong / len(samples), wrong
+    wrong = _misclassified(net, split.xs,
+                           _checked_labels(split.ys, net.output_dim))
+    return 1.0 - wrong / len(split), wrong

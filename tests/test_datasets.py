@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from relukit.config import ConfigError, dataset_from
-from relukit.datasets import (Dataset, IdxFormatError, Sample,
+from relukit.datasets import (Dataset, IdxFormatError, Sample, Split,
                               load_idx_dataset, synth_blobs)
+from relukit.training import evaluate, init_network
 
 
 def write_idx_images(path, images):
@@ -169,6 +170,90 @@ class TestAddSamples:
         for k in range(5):
             ds.add_train_sample(Sample(np.array([0.5]), 0))
             assert len(ds.train) == k + 1
+
+
+def assert_rows(samples, xs, ys):
+    samples = list(samples)
+    assert len(samples) == len(xs) == len(ys)
+    for sample, x, y in zip(samples, xs, ys):
+        assert type(sample) is Sample
+        assert np.array_equal(sample.input, x) and sample.label == y
+
+
+class TestSplitView:
+    def test_reads_as_samples_of_the_rows(self):
+        ds = synth_blobs(2, 10, 3, 4, 0.1)
+        split = ds.train
+        xs, ys = split.xs, split.ys
+        assert (xs.shape, xs.dtype) == ((24, 4), np.float64)
+        assert (ys.shape, ys.dtype) == ((24,), np.int64)
+        assert len(split) == 24
+        for i in (0, 7, 23, -1, -24):
+            assert_rows([split[i]], xs[[i]], ys[[i]])
+        for index in (slice(3, 9), slice(None, 5), slice(-4, None),
+                      slice(1, 20, 3), slice(30, 40)):
+            assert_rows(split[index], xs[index], ys[index])
+        assert_rows(split, xs, ys)
+        both = np.concatenate([xs, ds.test.xs])
+        labels = np.concatenate([ys, ds.test.ys])
+        assert_rows(split + ds.test, both, labels)
+        assert_rows(split + list(ds.test), both, labels)
+        assert_rows(list(split) + ds.test, both, labels)
+        with pytest.raises(IndexError):
+            split[24]
+
+    def test_slice_assigned_back(self):
+        ds = synth_blobs(2, 10, 3, 4, 0.1)
+        xs, ys = ds.train.xs.copy(), ds.train.ys.copy()
+        ds.train = ds.train[:5]
+        assert_rows(ds.train, xs[:5], ys[:5])
+        ds.add_train_sample(Sample(np.zeros(4), 2))
+        assert len(ds.train) == 6 and ds.train[5].label == 2
+
+    def test_samples_from_a_list(self):
+        samples = [Sample(np.full(3, i / 10), i % 2) for i in range(6)]
+        ds = Dataset(3, 2, samples, samples[:2])
+        assert isinstance(ds.train, Split) and isinstance(ds.test, Split)
+        assert_rows(ds.train, [s.input for s in samples],
+                    [s.label for s in samples])
+        with pytest.raises(ValueError, match=r"shape \(2,\).*dimension "
+                                             r"\(3,\)"):
+            Dataset(3, 2, [Sample(np.zeros(2), 0)])
+        with pytest.raises(ValueError, match="split of dimension 3"):
+            Dataset(4, 2, ds.train)
+        with pytest.raises(ValueError, match="labels must be integers"):
+            Split(np.zeros((1, 3)), [0.7])
+        with pytest.raises(ValueError, match="do not make a split"):
+            Split(np.zeros((2, 3)), [0])
+
+    def test_evaluate_same_on_split_and_list(self):
+        ds = synth_blobs(4, 30, 3, 5, 0.3)
+        net = init_network([5, 6, 3], seed=1)
+        for split in (ds.train, ds.test):
+            assert evaluate(net, split) == evaluate(net, list(split))
+
+    def test_thousand_appends(self):
+        rng = np.random.default_rng(0)
+        xs = rng.uniform(size=(1000, 3))
+        ys = rng.integers(0, 4, size=1000)
+        ds = Dataset(input_dim=3, num_classes=4)
+        for k, (x, y) in enumerate(zip(xs, ys)):
+            ds.add_train_sample(Sample(x, y))
+            assert len(ds.train) == k + 1
+        assert len(ds.test) == 0
+        assert np.array_equal(ds.train.xs, xs)
+        assert np.array_equal(ds.train.ys, ys)
+        assert_rows(ds.train, xs, ys)
+
+    def test_append_copies_the_row(self):
+        # A list append used to keep the caller's array itself.
+        ds = synth_blobs(2, 10, 3, 4, 0.1)
+        x = np.full(4, 0.25)
+        ds.add_train_sample(Sample(x, 1))
+        ds.add_test_sample(Sample(x, 1))
+        x[:] = 0.75
+        assert np.all(ds.train[-1].input == 0.25)
+        assert np.all(ds.test[-1].input == 0.25)
 
 
 class TestSynthBlobs:

@@ -313,6 +313,22 @@ class TestTrain:
         train(net, ds, cfg)
         assert calls == [len(ds.train), len(ds.test)]
 
+    def test_epoch_makes_no_copy_of_the_data(self):
+        # Batches are gathered from the split's arrays; a stacked copy of
+        # the split would by itself reach its full size.
+        ds = synth_blobs(0, 375, 10, 784, 0.1)
+        split_bytes = len(ds.train) * 784 * 8
+        net = init_network([784, 16, 10], seed=0)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            train(net, ds, TrainingConfig(epochs=1, batch_size=256))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds.train) == 3000
+        assert peak - start < split_bytes / 2
+
     def test_sparsity_pressure_on_gamma(self):
         ds = synth_blobs(4, 40, 2, 2, 0.08)
         net = init_network([2, 12, 2], seed=2)
