@@ -1,5 +1,7 @@
 import gc
 import re
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -9,7 +11,7 @@ import pytest
 from conftest import random_net
 import relukit.training
 from oracles import finite_diff_grads, reference_train
-from relukit.datasets import Dataset, Sample, synth_blobs
+from relukit.datasets import Dataset, Sample, Split, synth_blobs
 from relukit.network import BatchNorm1DNode, FullyConnectedNode, forward_batch
 from relukit.pruning import network_slim, weight_prune
 from relukit.training import (AdamState, TrainingConfig, adam_step, evaluate,
@@ -411,6 +413,135 @@ class TestTrainMatchesReference:
                                                 with_bn=False)}[layout]()
         _assert_matches_reference(net, ds, cfg)
 
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"l2_lambda": 0.1, "slim_lambda": 0.05},
+    ])
+    def test_accuracies_beside_training_bit_identical(self, overrides):
+        # the train_blobs784 shape, whose accuracy pass runs beside the
+        # next epoch on a copy of the network
+        net, ds = _blobs784_case()
+        cfg = TrainingConfig(epochs=3, batch_size=32, learning_rate=0.01,
+                             seed=2, **overrides)
+        _assert_matches_reference(net, ds, cfg)
+
+
+def _blobs784_case():
+    """The shape of the train_blobs784 benchmark: 600 784-dim inputs and
+    a [784, 64, 32, 16, 10] network."""
+    return (init_network([784, 64, 32, 16, 10], seed=2),
+            synth_blobs(2, 60, 10, 784, 0.1))
+
+
+class TestAccuraciesBeside:
+    """train's accuracy pass, beside the next epoch when it is large."""
+
+    @staticmethod
+    def _pass_threads(monkeypatch, net, ds, epochs=2):
+        idents = []
+        inner = relukit.training._misclassified
+
+        def wrapper(*args):
+            idents.append(threading.get_ident())
+            return inner(*args)
+        monkeypatch.setattr(relukit.training, "_misclassified", wrapper)
+        train(net, ds, TrainingConfig(epochs=epochs, batch_size=32))
+        assert len(idents) == 2 * epochs
+        return set(idents)
+
+    def test_large_pass_runs_in_a_worker(self, monkeypatch):
+        before = threading.active_count()
+        idents = self._pass_threads(monkeypatch, *_blobs784_case())
+        assert idents and threading.get_ident() not in idents
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("widths, n_per_class, classes", [
+        ([4, 12, 12, 3], 50, 3),  # repair_blobs: 150 4-dim inputs
+        ([8, 32, 32, 32, 4], 80, 4),  # verify_scaled's set-up
+    ])
+    def test_small_pass_stays_inline(self, monkeypatch, widths, n_per_class,
+                                     classes):
+        ds = synth_blobs(0, n_per_class, classes, widths[0], 0.1)
+        net = init_network(widths, seed=0)
+        idents = self._pass_threads(monkeypatch, net, ds)
+        assert idents == {threading.get_ident()}
+
+    @pytest.mark.parametrize("fail_at, later_fails", [
+        (1, False), (3, False), (3, True), (6, True)])
+    def test_pass_error_raised_in_program_order(self, monkeypatch, fail_at,
+                                                later_fails):
+        # _misclassified's calls go train, test, train, test, ...: call k
+        # belongs to epoch (k - 1) // 2. With later_fails, the first batch
+        # of the epoch after it raises too, while that pass is pending.
+        net, ds = _blobs784_case()
+        epoch = (fail_at - 1) // 2
+        first_batch_after = 15 * (epoch + 1) + 1  # 480 rows, batches of 32
+        calls = [0]
+        inner_pass = relukit.training._misclassified
+        inner_grads = relukit.training.loss_and_grads
+
+        def failing_pass(*args):
+            calls[0] += 1
+            if calls[0] == fail_at:
+                raise ArithmeticError(f"pass call {fail_at}")
+            return inner_pass(*args)
+        monkeypatch.setattr(relukit.training, "_misclassified", failing_pass)
+        if later_fails:
+            batches = [0]
+
+            def failing_grads(*args, **kwargs):
+                batches[0] += 1
+                if batches[0] == first_batch_after:
+                    raise RuntimeError("later epoch")
+                return inner_grads(*args, **kwargs)
+            monkeypatch.setattr(relukit.training, "loss_and_grads",
+                                failing_grads)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match=f"^pass call {fail_at}$"):
+            train(net, ds, TrainingConfig(epochs=4, batch_size=32))
+        assert threading.active_count() == before
+        if later_fails:
+            assert batches[0] == first_batch_after
+
+    def test_training_error_after_a_clean_pass(self, monkeypatch):
+        net, ds = _blobs784_case()
+        inner = relukit.training.loss_and_grads
+        batches = [0]
+
+        def failing_grads(*args, **kwargs):
+            batches[0] += 1
+            if batches[0] == 20:
+                raise RuntimeError("epoch 1")
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(relukit.training, "loss_and_grads", failing_grads)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^epoch 1$"):
+            train(net, ds, TrainingConfig(epochs=3, batch_size=32))
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_under_frequent_switches(self):
+        # Three train calls at once, each with its own worker, switching
+        # threads every 10 us: a pass that read the network the next epoch
+        # updates, or another call's arrays, would change the metrics.
+        net, ds = _blobs784_case()
+        cfg = TrainingConfig(epochs=3, batch_size=32, learning_rate=0.01)
+        ref = reference_train(net, ds, cfg)[1]
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            calls = [threading.Thread(
+                target=lambda: results.append(train(net, ds, cfg)[1]))
+                for _ in range(3)]
+            for call in calls:
+                call.start()
+            for call in calls:
+                call.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(call.is_alive() for call in calls)
+        assert results == [ref] * 3
+
 
 class TestTrainAliasing:
     def test_outputs_share_no_memory(self):
@@ -619,6 +750,26 @@ class TestEvaluate:
         ys = np.array([s.label for s in ds.train])
         err01 = float((forward_batch(net, xs).argmax(axis=1) != ys).mean())
         assert acc == pytest.approx(1.0 - err01)
+
+    def test_peak_memory_does_not_grow_with_the_split(self):
+        # one forward_batch over the whole split would by itself hold its
+        # 20,000 x 64 first-layer output (10.2 MB), and more than that
+        rng = np.random.default_rng(3)
+        rows = 20_000
+        split = Split(rng.uniform(size=(rows, 784)),
+                      rng.integers(0, 10, size=rows))
+        net, _ = _blobs784_case()
+        whole = int((forward_batch(net, split.xs).argmax(axis=1)
+                     != split.ys).sum())
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            _, wrong = evaluate(net, split)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert wrong == whole
+        assert peak - start < rows * 64 * 8 / 2
 
     def test_random_net_random_labels_concentration(self):
         net = random_net([4, 8, 2], seed=9)
