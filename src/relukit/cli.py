@@ -100,6 +100,21 @@ def cmd_prune(args) -> int:
     return EXIT_OK
 
 
+def _reject_ignored_flags(args):
+    """A verify flag that the chosen mode would ignore is a usage error."""
+    by_file = "--property" if args.property else None
+    ibp = "--engine ibp" if args.engine == "ibp" else None
+    for flag, value, mode in (
+            ("--robustness", args.robustness or None, by_file),
+            ("--config", args.config, by_file),
+            ("--sample-index", args.sample_index, by_file),
+            ("--epsilon", args.epsilon, by_file),
+            ("--max-nodes", args.max_nodes, ibp),
+            ("--timeout", args.timeout, ibp)):
+        if mode and value is not None:
+            raise ConfigError(f"{flag} has no effect with {mode}")
+
+
 def _build_property(args, net):
     if args.property:
         with open(args.property) as fh:
@@ -120,6 +135,7 @@ def _sample_property(args):
 
 
 def cmd_verify(args) -> int:
+    _reject_ignored_flags(args)
     net = load_model(args.model)
     prop = _build_property(args, net)
     bab_cfg = bab_config_from(_override({}, time_budget=args.timeout,

@@ -36,7 +36,7 @@ LP_TOL = np.sqrt(1e-9) * 10
 # interval and back-substituted bounds are one value rounded two ways
 EMPTY_TOL = 1e-9
 DESCENT_STEPS = 8  # sign-gradient steps of verify_bab's root descent
-_thread = threading.local()  # each thread's HiGHS solver and fold memo
+_thread = threading.local()  # each thread's HiGHS solver and _prepared memo
 
 
 class Status(str, Enum):
@@ -99,81 +99,73 @@ class BabConfig:
                                  f"got {getattr(self, name)!r}")
 
 
-def _is_folded(net: SequentialNetwork) -> bool:
-    return all(isinstance(n, (FullyConnectedNode, ReLUNode)) for n in net.nodes)
+class _Prepared(NamedTuple):
+    """A valid network's batch-norm fold (the network itself when it has no
+    batch norm) and its bounding plan: per FC node of the fold, from copies
+    of its arrays, (W, b, max(W, 0), min(W, 0), [W; -W], [b; -b], out_dim)."""
+    fold: SequentialNetwork
+    plan: tuple
 
 
-def _content_key(net: SequentialNetwork) -> tuple:
-    """What validate and fold_batchnorm read from net, copied: name,
-    input_dim, each node's type, eps and dim, and each parameter array's
-    shape, dtype and values (joined as float64, as the fold casts them)."""
+def _prepared(net: SequentialNetwork, box: Box = None,
+              num_outputs: int = None) -> _Prepared:
+    """net validated, folded and planned, for every entry point. ValueError
+    if net is invalid, if box is not of its input dimension, or if
+    num_outputs is given and (box.dim, num_outputs) are not its dimensions.
+
+    Each thread remembers the last valid net's fold and plan under its
+    content: name, input_dim, each node's type, eps and dim, and each
+    parameter array's shape, dtype and bytes (one joined copy). So the same
+    content is not validated, folded or planned again, and a change in place
+    is seen. Neither the fold nor the plan shares an array with a caller or
+    is mutated."""
     arrays = [a for node in net.nodes for a in _params(node)]
-    return (net.name, net.input_dim,
-            [(type(n), getattr(n, "eps", None), getattr(n, "dim", None))
-             for n in net.nodes],
-            [(a.shape, a.dtype) for a in arrays],
-            np.concatenate([np.zeros(0), *arrays], axis=None).tobytes())
-
-
-def _folded(net: SequentialNetwork) -> SequentialNetwork:
-    """net validated and batch-norm-folded (net itself without batch norm);
-    ValueError if invalid. Each thread remembers the last valid net's content
-    key, fold and plan (_plan), so the same content is not validated, folded
-    or planned again. Neither shares an array with a caller or is mutated."""
-    key = _content_key(net)
-    memo = getattr(_thread, "fold", None)
+    key = (net.name, net.input_dim,
+           [(type(n), getattr(n, "eps", None), getattr(n, "dim", None))
+            for n in net.nodes],
+           [(a.shape, a.dtype) for a in arrays],
+           b"".join(a.tobytes() for a in arrays))
+    memo = getattr(_thread, "prepared", None)
     if memo is None or memo[0] != key:
-        fold = None if _is_folded(net) else fold_batchnorm(net)
-        if fold is None:
+        fold = None
+        if all(isinstance(n, (FullyConnectedNode, ReLUNode))
+               for n in net.nodes):
             _require_valid(net)
-        fcs = [(np.array(n.weights), np.array(n.bias)) for n in
-               (net if fold is None else fold).nodes
-               if isinstance(n, FullyConnectedNode)]
-        plan = tuple((w, b, np.maximum(w, 0.0), np.minimum(w, 0.0),
-                      np.concatenate([w, -w]), np.concatenate([b, -b]), b.size)
-                     for w, b in fcs)
-        memo = _thread.fold = (key, fold, plan)
-    return net if memo[1] is None else memo[1]
-
-
-def _plan(net: SequentialNetwork) -> tuple:
-    """The bounding plan of _folded(net): per FC node, from copies of its
-    arrays, (W, b, max(W, 0), min(W, 0), [W; -W], [b; -b], out_dim)."""
-    _folded(net)
-    return _thread.fold[2]
-
-
-def _check_box(net: SequentialNetwork, box: Box):
-    if box.dim != net.input_dim:
+        else:
+            fold = fold_batchnorm(net)
+        plan = []
+        for n in (net if fold is None else fold).nodes:
+            if isinstance(n, FullyConnectedNode):
+                w, b = np.array(n.weights), np.array(n.bias)
+                plan.append((w, b, np.maximum(w, 0.0), np.minimum(w, 0.0),
+                             np.concatenate([w, -w]), np.concatenate([b, -b]),
+                             b.size))
+        memo = _thread.prepared = (key, fold, tuple(plan))
+    if num_outputs is not None and (box.dim, num_outputs) != (
+            net.input_dim, net.output_dim):
+        raise ValueError(
+            f"property dims ({box.dim} in, {num_outputs} out) do not match "
+            f"network {net.name!r} ({net.input_dim} in, {net.output_dim} out)")
+    if box is not None and box.dim != net.input_dim:
         raise ValueError(f"box dim {box.dim} does not match network "
                          f"{net.name!r} ({net.input_dim} in)")
-
-
-def _interval_fc(node: FullyConnectedNode, lo: np.ndarray, hi: np.ndarray):
-    """Interval image of [lo, hi] under one FC node."""
-    w_pos = np.maximum(node.weights, 0.0)
-    w_neg = np.minimum(node.weights, 0.0)
-    return (w_pos @ lo + w_neg @ hi + node.bias,
-            w_pos @ hi + w_neg @ lo + node.bias)
+    return _Prepared(net if memo[1] is None else memo[1], memo[2])
 
 
 def interval_forward(net: SequentialNetwork, box: Box):
-    """Per-node interval bounds over a folded network.
+    """Per-node interval bounds over the fold of a valid network (_prepared).
 
-    Returns a list aligned with net.nodes; FC entries carry pre-activation
-    bounds, ReLU entries the clamped post-activation bounds. Sound: every
-    concrete activation for x in box lies inside its interval.
+    Returns a list aligned with the fold's nodes, which alternate FC and
+    ReLU; FC entries carry pre-activation bounds, ReLU entries the clamped
+    post-activation bounds. Sound: every concrete activation for x in box
+    lies inside its interval.
     """
-    if not _is_folded(net):
-        raise ValueError("expected a folded (FC/ReLU only) network")
-    _check_box(net, box)
-    lo, hi = box.lo.copy(), box.hi.copy()
-    bounds = []
-    for node in net.nodes:
-        if isinstance(node, FullyConnectedNode):
-            lo, hi = _interval_fc(node, lo, hi)
-        else:
+    lo, hi, bounds = box.lo, box.hi, []
+    for i, (_, b, pos, neg, *_) in enumerate(_prepared(net, box).plan):
+        if i:
             lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
+            bounds.append((lo, hi))
+        lo, hi = pos @ lo + neg @ hi + b, pos @ hi + neg @ lo + b
         bounds.append((lo, hi))
     return bounds
 
@@ -240,7 +232,7 @@ def _compile(violation):
 
 
 def _bound(plan: tuple, box: Box, compiled=None, known=None):
-    """The bounding step over a folded net's plan (_plan), for every engine.
+    """The bounding step over a net's plan (_prepared), for every engine.
 
     Returns (pre_lo, pre_hi, unstable, alive): bounds of every hidden
     pre-activation as two flat vectors (empty without a hidden layer), the
@@ -377,22 +369,18 @@ class LPResult(NamedTuple):
     message: str = ""
 
 
+_highs = None  # scipy's HiGHS binding, once _highs_api has loaded it
+
+
 def _highs_api():
     """scipy's HiGHS binding, imported at the first LP and then kept as the
     module attribute `_highs`: importing it loads all of scipy.optimize
     (about 0.4 s and 41 MB), which a process that solves no LP skips."""
-    api = globals().get("_highs")
-    if api is None:
-        from scipy.optimize._highspy import _core as api
-        globals()["_highs"] = api
-    return api
-
-
-def __getattr__(name):
-    """PEP 562: `verifier._highs` resolves before the first LP too."""
-    if name == "_highs":
-        return _highs_api()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global _highs
+    if _highs is None:
+        from scipy.optimize._highspy import _core
+        _highs = _core
+    return _highs
 
 
 def _solver():
@@ -469,43 +457,42 @@ def lp_feasible(a_ub: np.ndarray, b_ub: np.ndarray, box: Box):
     raise LPUndecidedError(f"LP status {res.status}: {res.message}")
 
 
-def _pattern_maps(fcs, pattern):
-    """Affine maps of a folded network's FC nodes `fcs` under an activation
-    pattern (1 active, 0 inactive): (rows, rhs, a, c), with each hidden
-    neuron's sign constraint a row of rows @ x <= rhs (-pre <= 0 when
-    active, pre <= 0 when inactive) and a @ x + c the output as a function
-    of the input x."""
-    d = fcs[0].in_dim
+def _pattern_maps(plan, pattern):
+    """Affine maps of a net's plan (_prepared) under an activation pattern
+    (1 active, 0 inactive): (rows, rhs, a, c), with each hidden neuron's
+    sign constraint a row of rows @ x <= rhs (-pre <= 0 when active, pre <= 0
+    when inactive) and a @ x + c the output as a function of the input x."""
+    d = plan[0][0].shape[1]
     a, c = np.eye(d), np.zeros(d)
     rows, rhs, k = [np.zeros((0, d))], [np.zeros(0)], 0
-    for node in fcs[:-1]:
-        a = node.weights @ a
-        c = node.weights @ c + node.bias
-        active = pattern[k:k + node.out_dim].astype(bool)
-        k += node.out_dim
+    for w, b, *_, n in plan[:-1]:
+        a = w @ a
+        c = w @ c + b
+        active = pattern[k:k + n].astype(bool)
+        k += n
         rows.append(np.where(active[:, None], -a, a))
         rhs.append(np.where(active, c, -c))
         a, c = a * active[:, None], c * active
-    a, c = fcs[-1].weights @ a, fcs[-1].weights @ c + fcs[-1].bias
+    w, b = plan[-1][:2]
+    a, c = w @ a, w @ c + b
     return np.vstack(rows), np.concatenate(rhs), a, c
 
 
 def check_pattern(net: SequentialNetwork, box: Box, pattern: np.ndarray,
                   disjunct) -> Optional[np.ndarray]:
-    """Feasibility of one total activation pattern against one disjunct.
+    """Feasibility of one total activation pattern of net's fold against
+    one disjunct.
 
-    Returns a witness input or None (infeasible). A witness failing concrete
-    re-validation raises SpuriousWitnessError.
+    Returns a witness input or None (infeasible). A witness whose output on
+    net fails the disjunct raises SpuriousWitnessError.
     """
-    if not _is_folded(net):
-        raise ValueError("expected a folded (FC/ReLU only) network")
-    fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
+    plan = _prepared(net, box).plan
     pattern = np.asarray(pattern)
-    hidden = sum(n.out_dim for n in fcs[:-1])
+    hidden = sum(layer[-1] for layer in plan[:-1])
     if pattern.shape[0] != hidden:
         raise ValueError(f"pattern length {pattern.shape[0]} != hidden "
                          f"neuron count {hidden}")
-    rows, rhs, a_out, c_out = _pattern_maps(fcs, pattern)
+    rows, rhs, a_out, c_out = _pattern_maps(plan, pattern)
     atom_rows = np.stack([atom.coeffs @ a_out for atom in disjunct])
     atom_rhs = np.array([atom.rhs - float(atom.coeffs @ c_out)
                          for atom in disjunct])
@@ -519,33 +506,17 @@ def check_pattern(net: SequentialNetwork, box: Box, pattern: np.ndarray,
     return x
 
 
-def _decide_leaf(net, folded, prop, box, pattern, alive, counters):
-    """Exact decision of a node with no unstable ReLU: check_pattern's LP on
-    `folded`, the fold of `net`, per alive disjunct. Returns a Counterexample
-    re-validated on `net`, or None when safe; counts LPs in `counters`."""
+def _decide_leaf(net, prop, box, pattern, alive, counters):
+    """Exact decision of a node with no unstable ReLU: check_pattern's LP per
+    alive disjunct. Returns the Counterexample of the first witness, which
+    check_pattern has re-validated on `net`, or None when safe; counts LPs
+    in `counters`."""
     for j in alive:
         counters["lp_calls"] += 1
-        w = check_pattern(folded, box, pattern, prop.violation[j])
+        w = check_pattern(net, box, pattern, prop.violation[j])
         if w is not None:
-            cex = _validated_cex(net, prop, w)
-            if cex is None:
-                raise SpuriousWitnessError(
-                    "pattern witness failed property re-validation")
-            return cex
+            return _validated_cex(net, prop, w)
     return None
-
-
-def _fitted(net: SequentialNetwork, prop: Property):
-    """(_folded(net), _plan(net)); ValueError unless prop's box and outputs
-    have net's dimensions."""
-    folded = _folded(net)
-    if (prop.input_box.dim, prop.num_outputs) != (net.input_dim,
-                                                  net.output_dim):
-        raise ValueError(
-            f"property dims ({prop.input_box.dim} in, {prop.num_outputs} "
-            f"out) do not match network {net.name!r} ({net.input_dim} in, "
-            f"{net.output_dim} out)")
-    return folded, _thread.fold[2]
 
 
 def verify_bab(net: SequentialNetwork, prop: Property,
@@ -572,7 +543,7 @@ def verify_bab(net: SequentialNetwork, prop: Property,
     if config is None:
         config = BabConfig()
     start = time.monotonic()
-    folded, plan = _fitted(net, prop)
+    folded, plan = _prepared(net, prop.input_box, prop.num_outputs)
     compiled = _compile(prop.violation)
     rng = None  # created by the first node that samples
     counters = {"lp_calls": 0, "enum_leaves": 0, "enum_pruned": 0,
@@ -620,7 +591,7 @@ def verify_bab(net: SequentialNetwork, prop: Property,
         if not free:
             counters["enum_leaves"] += 1
             try:
-                cex = _decide_leaf(net, folded, prop, box, los >= 0.0, alive,
+                cex = _decide_leaf(net, prop, box, los >= 0.0, alive,
                                    counters)
             except (SpuriousWitnessError, LPUndecidedError):
                 pass  # no exact decision here: split the box instead
@@ -658,7 +629,7 @@ def falsify_sample(net: SequentialNetwork, prop: Property, n_samples: int,
     """Seeded random falsification: box corners (when dim <= 12) plus
     uniform samples; returns the first validated witness. ValueError when
     the property's dimensions do not match the network's."""
-    folded = _fitted(net, prop)[0]
+    folded = _prepared(net, prop.input_box, prop.num_outputs).fold
     box = prop.input_box
     points = []
     if box.dim <= 12:
@@ -678,5 +649,4 @@ def falsify_sample(net: SequentialNetwork, prop: Property, n_samples: int,
 def root_unstable_count(net: SequentialNetwork, box: Box) -> int:
     """Number of hidden ReLUs whose root pre-activation bounds, from the
     bounding step, straddle 0; ValueError on a box of another dimension."""
-    _check_box(net, box)
-    return _bound(_plan(net), box)[2]
+    return _bound(_prepared(net, box).plan, box)[2]

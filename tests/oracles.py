@@ -1,6 +1,7 @@
 """Independent test oracles: exact rational feasibility via Fourier-Motzkin
-elimination, exhaustive activation-pattern enumeration, and brute-force
-helpers. Deliberately naive; never shares code with the implementation."""
+elimination, an exact activation-pattern search with the exhaustive
+enumeration as its reference, and brute-force helpers. Deliberately naive;
+never shares code with the implementation."""
 
 from fractions import Fraction
 from itertools import product
@@ -60,16 +61,8 @@ def _mat_vec(a, v):
     return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
 
 
-def exact_pattern_verdict(fc_layers, box_lo, box_hi, violation):
-    """True iff some input in the box satisfies some violation disjunct,
-    decided by enumerating every activation pattern with exact rationals.
-
-    fc_layers: list of (W, b) numpy pairs of a folded FC/ReLU/.../FC net.
-    violation: list of disjuncts, each a list of (coeffs, rhs) over outputs.
-    """
+def _box_constraints(box_lo, box_hi):
     d = len(box_lo)
-    hidden_widths = [w.shape[0] for w, _ in fc_layers[:-1]]
-    total_hidden = sum(hidden_widths)
     box_cons = []
     for i in range(d):
         e_pos = [Fraction(0)] * d
@@ -78,6 +71,76 @@ def exact_pattern_verdict(fc_layers, box_lo, box_hi, violation):
         e_neg = [Fraction(0)] * d
         e_neg[i] = Fraction(-1)
         box_cons.append((e_neg, Fraction(-float(box_lo[i]))))
+    return box_cons
+
+
+def _disjunct_feasible(cons, a, c, disjunct, d):
+    """Whether {cons} with every atom coeffs @ (a x + c) <= rhs of the
+    disjunct is feasible."""
+    dcons = list(cons)
+    for coeffs, rhs in disjunct:
+        cf = _frac_vec(coeffs)
+        row = [sum(cf[i] * a[i][j] for i in range(len(cf)))
+               for j in range(d)]
+        const = sum(cf[i] * c[i] for i in range(len(cf)))
+        dcons.append((row, Fraction(float(rhs)) - const))
+    return fm_feasible(dcons, d)
+
+
+def exact_pattern_verdict(fc_layers, box_lo, box_hi, violation):
+    """True iff some input in the box satisfies some violation disjunct,
+    decided with exact rationals by a depth-first search over activation
+    patterns, neuron by neuron in layer order.
+
+    A prefix of the pattern shares its layers' products with every
+    completion, and a prefix whose region (the box and the sign rows so far)
+    is empty is cut: each completion's region lies inside it, so the
+    verdict is enumerated_pattern_verdict's.
+
+    fc_layers: list of (W, b) numpy pairs of a folded FC/ReLU/.../FC net.
+    violation: list of disjuncts, each a list of (coeffs, rhs) over outputs.
+    """
+    d = len(box_lo)
+    layers = [(_frac_mat(w), _frac_vec(b)) for w, b in fc_layers]
+
+    def layer(li, a, c, cons):
+        wf, bf = layers[li]
+        a = _mat_mul(wf, a)
+        c = [x + y for x, y in zip(_mat_vec(wf, c), bf)]
+        if li == len(layers) - 1:
+            return any(_disjunct_feasible(cons, a, c, disjunct, d)
+                       for disjunct in violation)
+        return neuron(li, a, c, [], [], cons)
+
+    def neuron(li, a, c, out_a, out_c, cons):
+        j = len(out_a)
+        if j == len(a):
+            return layer(li + 1, out_a, out_c, cons)
+        for active in (0, 1):
+            if active:
+                grown = cons + [([-x for x in a[j]], c[j])]
+                row, const = a[j], c[j]
+            else:
+                grown = cons + [(list(a[j]), -c[j])]
+                row, const = [Fraction(0)] * d, Fraction(0)
+            if fm_feasible(grown, d) and neuron(
+                    li, a, c, out_a + [row], out_c + [const], grown):
+                return True
+        return False
+
+    identity = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    return layer(0, identity, [Fraction(0)] * d,
+                 _box_constraints(box_lo, box_hi))
+
+
+def enumerated_pattern_verdict(fc_layers, box_lo, box_hi, violation):
+    """exact_pattern_verdict by enumerating every activation pattern and
+    recomputing each one's products: the reference it is tested against.
+    """
+    d = len(box_lo)
+    hidden_widths = [w.shape[0] for w, _ in fc_layers[:-1]]
+    total_hidden = sum(hidden_widths)
+    box_cons = _box_constraints(box_lo, box_hi)
 
     for bits in product((0, 1), repeat=total_hidden):
         a = [[Fraction(1) if i == j else Fraction(0) for j in range(d)]
@@ -101,16 +164,9 @@ def exact_pattern_verdict(fc_layers, box_lo, box_hi, violation):
                     a[j] = [Fraction(0)] * d
                     c[j] = Fraction(0)
             k += len(a)
-        for disjunct in violation:
-            dcons = list(cons)
-            for coeffs, rhs in disjunct:
-                cf = _frac_vec(coeffs)
-                row = [sum(cf[i] * a[i][j] for i in range(len(cf)))
-                       for j in range(d)]
-                const = sum(cf[i] * c[i] for i in range(len(cf)))
-                dcons.append((row, Fraction(float(rhs)) - const))
-            if fm_feasible(dcons, d):
-                return True
+        if any(_disjunct_feasible(cons, a, c, disjunct, d)
+               for disjunct in violation):
+            return True
     return False
 
 

@@ -278,6 +278,28 @@ class TestVerify:
         assert "must end with a fully-connected layer" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,mode", [
+        ("--max-nodes", "5", "--engine ibp"),
+        ("--timeout", "0", "--engine ibp"),
+        ("--robustness", None, "--property"),
+        ("--config", "train.json", "--property"),
+        ("--sample-index", "0", "--property"),
+        ("--epsilon", "0.1", "--property")])
+    def test_ignored_flag_exits_three(self, tmp_path, trained_model,
+                                      train_cfg, flag, value, mode, capsys):
+        if mode == "--property":
+            prop = str(tmp_path / "prop.smt2")
+            assert main(["export-smtlib", "--config", train_cfg,
+                         "--sample-index", "0", "--epsilon", "1e-4",
+                         "--out", prop]) == 0
+            argv = ["--property", prop]
+        else:
+            argv = ["--robustness", "--config", train_cfg, "--sample-index",
+                    "0", "--epsilon", "1e-4", "--engine", "ibp"]
+        given = [flag] + ([value] if value else [])
+        assert main(["verify", "--model", trained_model] + argv + given) == 3
+        assert f"{flag} has no effect with {mode}" in capsys.readouterr().err
+
     def test_ibp_engine(self, trained_model, train_cfg, capsys):
         assert main(["verify", "--model", trained_model, "--robustness",
                      "--config", train_cfg, "--sample-index", "0",

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import random_net
-from oracles import (exact_pattern_verdict, fm_feasible, reference_bound,
-                     relu_relaxation)
+from oracles import (enumerated_pattern_verdict, exact_pattern_verdict,
+                     fm_feasible, reference_bound, relu_relaxation)
 from relukit import verifier
 from relukit.datasets import synth_blobs
 from relukit.network import (FullyConnectedNode, ReLUNode, SequentialNetwork,
@@ -49,6 +49,11 @@ def abs_net():
 def linear_net():
     # no hidden layer: one bare FC node
     return SequentialNetwork("lin", 1, [FullyConnectedNode([[1.0]], [0.0])])
+
+
+def plan_of(net):
+    """The bounding plan the verifier reads for net."""
+    return verifier._prepared(net).plan
 
 
 def fc_layers(net):
@@ -106,6 +111,28 @@ class TestIntervalForward:
                         h = np.maximum(h, 0.0)
                     assert np.all(h >= blo - 1e-12)
                     assert np.all(h <= bhi + 1e-12)
+
+    def test_batch_norm_net_reads_its_fold(self):
+        """A batch-norm net's bounds are its fold's, bit for bit, one entry
+        per node of the fold."""
+        net = random_net([3, 5, 4, 2], seed=2)
+        box = Box(np.zeros(3), np.ones(3))
+        folded = fold_batchnorm(net)
+        got, want = interval_forward(net, box), interval_forward(folded, box)
+        assert len(got) == len(folded.nodes)
+        assert all(np.array_equal(g, w) for gw in zip(got, want)
+                   for g, w in zip(*gw))
+
+    @pytest.mark.parametrize("broken", ["trailing_relu", "nan_weight"])
+    def test_invalid_folded_net_is_rejected(self, broken):
+        if broken == "trailing_relu":
+            net, match = trailing_relu_net(), "must end with a fully"
+        else:
+            net, match = random_net([2, 3, 2], seed=1, with_bn=False), \
+                "non-finite"
+            net.nodes[2].weights[0, 1] = np.nan
+        with pytest.raises(ValueError, match=match):
+            interval_forward(net, Box(np.zeros(2), np.ones(2)))
 
 
 def hidden_pre_activations(net, xs):
@@ -176,7 +203,7 @@ class TestBound:
             sampled.append(False)
 
             pre_lo, pre_hi, unstable, alive = verifier._bound(
-                verifier._plan(net), box, verifier._compile(atoms))
+                plan_of(net), box, verifier._compile(atoms))
             pre = hidden_pre_activations(net, xs)
             assert np.all(pre >= pre_lo - TOL), trial
             assert np.all(pre <= pre_hi + TOL), trial
@@ -205,14 +232,14 @@ class TestBound:
                 box.lo, box.hi, size=(3000, box.dim)))
             compiled = verifier._compile(violation(np.ones(net.output_dim),
                                                    0.0))
-            pre_lo, pre_hi = verifier._bound(verifier._plan(net), box,
+            pre_lo, pre_hi = verifier._bound(plan_of(net), box,
                                              compiled)[:2]
             for n in np.flatnonzero((pre_lo < 0.0) & (pre_hi > 0.0)):
                 for active in (True, False):
                     known_lo, known_hi = pre_lo.copy(), pre_hi.copy()
                     (known_lo if active else known_hi)[n] = 0.0
                     got_lo, got_hi = verifier._bound(
-                        verifier._plan(net), box, compiled,
+                        plan_of(net), box, compiled,
                         (known_lo, known_hi))[:2]
                     assert np.all(got_lo >= known_lo), (trial, n, active)
                     assert np.all(got_hi <= known_hi), (trial, n, active)
@@ -233,8 +260,8 @@ class TestBound:
         open_at_root = 0
         for trial in range(12):
             net, box = bound_instance(trial, rng)
-            fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
-            pre_lo, pre_hi = verifier._bound(verifier._plan(net), box)[:2]
+            plan = plan_of(net)
+            pre_lo, pre_hi = verifier._bound(plan, box)[:2]
             free = np.flatnonzero((pre_lo < 0.0) & (pre_hi > 0.0))
             for _ in range(4):
                 pattern = (pre_lo >= 0.0).astype(int)
@@ -242,16 +269,16 @@ class TestBound:
                 known_lo, known_hi = pre_lo.copy(), pre_hi.copy()
                 known_lo[free[pattern[free] == 1]] = 0.0
                 known_hi[free[pattern[free] == 0]] = 0.0
-                a, c = verifier._pattern_maps(fcs, pattern)[2:]
+                a, c = verifier._pattern_maps(plan, pattern)[2:]
                 atoms = []
                 for coeffs in rng.normal(size=(4, net.output_dim)):
                     least = verifier._box_min(coeffs @ a, box.lo, box.hi)
                     atoms.append([LinearAtom(coeffs,
                                              least + coeffs @ c - 0.05)])
                 compiled = verifier._compile(atoms)
-                assert verifier._bound(verifier._plan(net), box, compiled,
+                assert verifier._bound(plan_of(net), box, compiled,
                                        (known_lo, known_hi))[3] == [], trial
-                open_at_root += len(verifier._bound(verifier._plan(net),
+                open_at_root += len(verifier._bound(plan_of(net),
                                                     box, compiled)[3])
         assert open_at_root > 0
 
@@ -261,13 +288,13 @@ class TestBound:
         net = fold_batchnorm(random_net((2, 5, 5, 2), seed=3, scale=1.5))
         box = Box([0.0, 0.0], [1.0, 1.0])
         compiled = verifier._compile(violation([1.0, 0.0], 1e6))
-        pre_lo, pre_hi, _, alive = verifier._bound(verifier._plan(net), box,
+        pre_lo, pre_hi, _, alive = verifier._bound(plan_of(net), box,
                                                    compiled)
         assert alive == [0]
         for gap, refuted in ((1e-12, False), (1e-3, True)):
             known_hi = pre_hi.copy()
             known_hi[7] = pre_lo[7] - gap
-            got = verifier._bound(verifier._plan(net), box, compiled,
+            got = verifier._bound(plan_of(net), box, compiled,
                                   (pre_lo, known_hi))
             assert got[3] == ([] if refuted else [0]), gap
 
@@ -281,10 +308,10 @@ class TestBound:
         box = Box([-1.0], [2.0])
         assert interval_forward(net, box)[-1][0] == pytest.approx([-2.0])
         assert verifier._bound(
-            verifier._plan(net), box,
+            plan_of(net), box,
             verifier._compile(violation([1.0], -0.25)))[3] == []
         assert verifier._bound(
-            verifier._plan(net), box,
+            plan_of(net), box,
             verifier._compile(violation([1.0], 0.0)))[3] == [0]
 
 
@@ -340,13 +367,15 @@ class TestBoundMatchesReference:
         bounding step's last hidden bounds) up to a sampled value is not, but
         may be by back-substitution; one above a sampled value is by
         neither."""
-        fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
         ys = forward_batch(net, rng.uniform(box.lo, box.hi,
                                             size=(500, box.dim)))
         ibp = interval_forward(net, box)[-1]
-        tight = (verifier._interval_fc(fcs[-1], np.maximum(last_lo, 0.0),
-                                       np.maximum(last_hi, 0.0))
-                 if len(fcs) > 1 else ibp)
+        fcs, tight = fc_layers(net), ibp
+        if len(fcs) > 1:
+            (w, b), lo, hi = (fcs[-1], np.maximum(last_lo, 0.0),
+                              np.maximum(last_hi, 0.0))
+            pos, neg = np.maximum(w, 0.0), np.minimum(w, 0.0)
+            tight = pos @ lo + neg @ hi + b, pos @ hi + neg @ lo + b
 
         def atom(how):
             c = rng.normal(size=ys.shape[1])
@@ -390,7 +419,7 @@ class TestBoundMatchesReference:
                 lo = rng.uniform(-1.0, 0.5, size=widths[0])
                 box = Box(lo, lo + rng.uniform(0.05, 1.0, size=widths[0]))
                 ref = reference_bound(net, box)
-                got = verifier._bound(verifier._plan(net), box)
+                got = verifier._bound(plan_of(net), box)
                 assert np.array_equal(got[0], ref[0])
                 assert np.array_equal(got[1], ref[1])
                 assert got[2:] == ref[2:] and got[3] == []
@@ -399,7 +428,7 @@ class TestBoundMatchesReference:
                                                   ref[0][last], ref[1][last]):
                     backs.clear()
                     ref = reference_bound(net, box, viol)
-                    got = verifier._bound(verifier._plan(net), box,
+                    got = verifier._bound(plan_of(net), box,
                                           verifier._compile(viol))
                     assert np.array_equal(got[0], ref[0]), (widths, seed)
                     assert np.array_equal(got[1], ref[1]), (widths, seed)
@@ -440,7 +469,7 @@ class TestBoundMatchesReference:
                         [LinearAtom(c, c @ forward(net, box.lo) - 1.0)]]
                 passes.clear()
                 ref = reference_bound(net, box, viol)
-                got = verifier._bound(verifier._plan(net), box,
+                got = verifier._bound(plan_of(net), box,
                                       verifier._compile(viol))
                 assert ref[2] == 0 and got[3] == ref[3] == [0]
                 assert np.array_equal(got[0], ref[0])
@@ -475,7 +504,7 @@ class TestVerifyIbp:
             ReLUNode(2),
             FullyConnectedNode([[1.0, -1.0]], [0.0])])
         prop = Property(Box([-1.0], [1.0]), violation([1.0], -0.5), 1)
-        assert verifier._bound(verifier._plan(net), prop.input_box,
+        assert verifier._bound(plan_of(net), prop.input_box,
                                verifier._compile(prop.violation))[3] == [0]
         res = verify_ibp(net, prop)
         assert res.status == Status.UNKNOWN
@@ -534,7 +563,9 @@ class TestDimensionCheck:
         net = random_net((2, 4, 2), seed=0, with_bn=False)
         box = Box(np.zeros(3), np.ones(3))
         for call in (lambda: root_unstable_count(net, box),
-                     lambda: interval_forward(net, box)):
+                     lambda: interval_forward(net, box),
+                     lambda: check_pattern(net, box, np.zeros(4, dtype=int),
+                                           [LinearAtom([1.0, 0.0], 0.0)])):
             with pytest.raises(ValueError, match=r"box dim 3 does not match "
                                r"network 'rand-0' \(2 in\)"):
                 call()
@@ -669,15 +700,16 @@ class TestLpFeasible:
                                         "kTimeLimit"])
     def test_status_other_than_optimal_or_infeasible_is_undecided(
             self, monkeypatch, status):
-        doctored = self.Doctored(
-            getModelStatus=getattr(verifier._highs.HighsModelStatus, status))
+        doctored = self.Doctored(getModelStatus=getattr(
+            verifier._highs_api().HighsModelStatus, status))
         monkeypatch.setattr(verifier, "_solver", lambda: doctored)
         with pytest.raises(LPUndecidedError, match="model status"):
             lp_feasible(*self.FEASIBLE, self.BOX)
 
     @pytest.mark.parametrize("step", ["passModel", "run"])
     def test_solver_error_is_undecided(self, monkeypatch, step):
-        doctored = self.Doctored(**{step: verifier._highs.HighsStatus.kError})
+        error = verifier._highs_api().HighsStatus.kError
+        doctored = self.Doctored(**{step: error})
         monkeypatch.setattr(verifier, "_solver", lambda: doctored)
         with pytest.raises(LPUndecidedError):
             lp_feasible(*self.FEASIBLE, self.BOX)
@@ -750,12 +782,12 @@ class TestAffineMaps:
         """Every layer's sign rows and the output map, bit for bit."""
         for seed in range(8):
             net = random_net((2, 3, 3, 3, 2), seed=seed, with_bn=False)
-            fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
+            plan = plan_of(net)
             rng = np.random.default_rng(seed)
             for _ in range(60):
                 pattern = rng.integers(0, 2, size=9)
                 want = affine_maps_loop(net, pattern)
-                got = verifier._pattern_maps(fcs, pattern)
+                got = verifier._pattern_maps(plan, pattern)
                 assert all(np.array_equal(w, g) for w, g in zip(want, got))
 
     def test_pattern_length_is_checked(self):
@@ -787,6 +819,33 @@ class TestCheckPattern:
         x = check_pattern(net, Box([0.0], [1.0]), np.array([0]),
                           [LinearAtom([-1.0], 0.0)])
         assert x is None
+
+    def test_batch_norm_net_equals_its_fold(self):
+        """On a batch-norm net and on its fold, the same witness or None.
+        The patterns are those of sampled points x, so each region is
+        nonempty; per pattern, one disjunct that x satisfies and one below
+        the interval bound of its output."""
+        found = infeasible = 0
+        for seed in range(6):
+            net = random_net((3, 4, 3, 2), seed=seed)
+            folded, box = fold_batchnorm(net), Box(np.zeros(3), np.ones(3))
+            rng = np.random.default_rng(seed)
+            xs = rng.uniform(box.lo, box.hi, size=(4, box.dim))
+            out_lo, out_hi = interval_forward(folded, box)[-1]
+            for x, pattern in zip(xs, hidden_pre_activations(folded, xs) > 0):
+                c = rng.normal(size=2)
+                for rhs in (c @ forward(net, x) + 0.05,
+                            verifier._box_min(c, out_lo, out_hi) - 1.0):
+                    disjunct = [LinearAtom(c, rhs)]
+                    got = check_pattern(net, box, pattern, disjunct)
+                    want = check_pattern(folded, box, pattern, disjunct)
+                    if want is None:
+                        infeasible += 1
+                        assert got is None, seed
+                    else:
+                        found += 1
+                        assert np.array_equal(got, want), seed
+        assert found and infeasible
 
 
 class TestVerifyBab:
@@ -872,6 +931,25 @@ class TestVerifyBab:
         assert res.stats["reason"] == "time budget exhausted"
 
 
+class TestExactOracle:
+    def test_search_equals_the_enumeration(self):
+        """oracles.exact_pattern_verdict, a depth-first search that cuts
+        empty prefixes, against the enumeration of every pattern."""
+        verdicts = []
+        for seed, widths, with_bn in [
+                (0, (2, 3, 3, 2), False), (1, (2, 3, 3, 2), False),
+                (2, (2, 3, 3, 2), True), (3, (3, 4, 2), True),
+                (4, (3, 2, 2, 3), False), (5, (2, 2), False),
+                (6, (2, 4, 4, 2), False), (7, (2, 4, 4, 2), False)]:
+            net, prop = tiny_instance(seed, widths, with_bn)
+            args = (fc_layers(fold_batchnorm(net)), prop.input_box.lo,
+                    prop.input_box.hi, [[(a.coeffs, a.rhs) for a in d]
+                                        for d in prop.violation])
+            verdicts.append(exact_pattern_verdict(*args))
+            assert verdicts[-1] == enumerated_pattern_verdict(*args), seed
+        assert True in verdicts and False in verdicts
+
+
 def brute_force_enum(net, box, prop, alive, los, his):
     """Reference exact decision: every total pattern, in the lexicographic
     order of the free neurons (the depth-first search's leaf order), against
@@ -879,12 +957,12 @@ def brute_force_enum(net, box, prop, alive, los, his):
     LP count, number of patterns whose activation region is nonempty)."""
     base = np.where(los >= 0.0, 1, 0)
     free = np.flatnonzero((los < 0.0) & (his > 0.0))
-    fcs = [n for n in net.nodes if isinstance(n, FullyConnectedNode)]
+    plan = plan_of(net)
     lp_calls = nonempty = 0
     for bits in product((0, 1), repeat=free.size):
         pattern = base.copy()
         pattern[free] = bits
-        rows, rhs = verifier._pattern_maps(fcs, pattern)[:2]
+        rows, rhs = verifier._pattern_maps(plan, pattern)[:2]
         nonempty += lp_feasible(rows, rhs, box) is not None
         for j in alive:
             lp_calls += 1
@@ -918,7 +996,7 @@ class TestPhaseSearch:
                 net, prop = tiny_instance(seed, widths)
                 box = prop.input_box
                 los, his, free, alive = real(
-                    verifier._plan(net), box,
+                    plan_of(net), box,
                     verifier._compile(prop.violation))
                 if not alive:
                     continue
@@ -1194,8 +1272,8 @@ def result_facts(res):
 
 
 class TestFoldMemo:
-    """verifier._folded validates every network and remembers, per thread,
-    the last valid one's fold, keyed on its content."""
+    """verifier._prepared validates every network and remembers, per
+    thread, the last valid one's fold and plan, keyed on its content."""
 
     @pytest.fixture(autouse=True)
     def fresh_memo(self, monkeypatch):
@@ -1262,31 +1340,31 @@ class TestFoldMemo:
         net = random_net((3, 6, 5, 2), seed=7, with_bn=with_bn)
         props = [self.query(net, s, eps=0.2) for s in range(4)]
         folds = self.count_folds(monkeypatch)
-        before = fold_arrays(verifier._folded(net))
-        plan = verifier._plan(net)
+        before = fold_arrays(verifier._prepared(net).fold)
+        plan = plan_of(net)
         [verify_bab(net, p) for p in props]
         mutate(net)
         after = [result_facts(verify_bab(net, p)) for p in props]
         assert len(folds) == (2 if with_bn else 0)
-        assert fold_arrays(verifier._folded(net)) != before
-        assert fold_arrays(verifier._folded(net)) == \
+        assert fold_arrays(verifier._prepared(net).fold) != before
+        assert fold_arrays(verifier._prepared(net).fold) == \
             fold_arrays(fold_batchnorm(net))
         # a new plan, made from the changed net
-        assert verifier._plan(net) is not plan
+        assert plan_of(net) is not plan
         fcs = [n for n in fold_batchnorm(net).nodes
                if isinstance(n, FullyConnectedNode)]
         assert all(np.array_equal(w, n.weights)
                    and np.array_equal(pos, np.maximum(n.weights, 0.0))
                    and np.array_equal(neg, np.minimum(n.weights, 0.0))
                    for (w, _, pos, neg, *_), n in
-                   zip(verifier._plan(net), fcs, strict=True))
-        folded = verifier._folded
+                   zip(plan_of(net), fcs, strict=True))
+        prepared = verifier._prepared
 
-        def unmemoized(net):  # validate, fold and plan anew on every call
-            verifier._thread.fold = None
-            return folded(net)
+        def unmemoized(*args):  # validate, fold and plan anew on every call
+            verifier._thread.prepared = None
+            return prepared(*args)
 
-        monkeypatch.setattr(verifier, "_folded", unmemoized)
+        monkeypatch.setattr(verifier, "_prepared", unmemoized)
         assert after == [result_facts(verify_bab(net, p)) for p in props]
 
     def test_one_fold_per_net_content(self, monkeypatch):
@@ -1310,13 +1388,13 @@ class TestFoldMemo:
         folds = self.count_folds(monkeypatch)
         checks = []
         monkeypatch.setattr(verifier, "_require_valid", checks.append)
-        assert all(verifier._folded(net) is net for _ in range(3))
+        assert all(verifier._prepared(net).fold is net for _ in range(3))
         assert checks == [net] and folds == []
 
     @pytest.mark.parametrize("with_bn", [True, False])
     def test_memo_shares_no_memory_with_the_net(self, with_bn):
         net = random_net((3, 6, 5, 2), seed=5, with_bn=with_bn)
-        folded = verifier._folded(net)
+        folded = verifier._prepared(net).fold
         params = [a for n in net.nodes for a in vars(n).values()
                   if isinstance(a, np.ndarray)]
         if with_bn:
@@ -1324,11 +1402,54 @@ class TestFoldMemo:
                            for a in vars(n).values()
                            if isinstance(a, np.ndarray) for b in params)
         # the plan: W, b, max(W, 0), min(W, 0), [W; -W], [b; -b] per layer
-        arrays = [a for layer in verifier._plan(net) for a in layer
+        arrays = [a for layer in plan_of(net) for a in layer
                   if isinstance(a, np.ndarray)]
         assert len(arrays) == 3 * 6
         assert not any(np.shares_memory(a, b) for a in arrays
                        for b in params)
+
+    @staticmethod
+    def contents(prepared):
+        """A preparation's fold and plan arrays, dtype and bytes."""
+        return fold_arrays(prepared.fold), [
+            (a.dtype, a.shape, a.tobytes()) for layer in prepared.plan
+            for a in layer if isinstance(a, np.ndarray)]
+
+    @pytest.mark.parametrize("with_bn", [True, False])
+    @pytest.mark.parametrize("change", ["ulp", "negative_zero", "float32",
+                                        "int64_view"])
+    def test_a_hit_is_of_the_same_content(self, with_bn, change):
+        """After a change the key must see, _prepared returns what a fresh
+        preparation returns, byte for byte: one ulp, 0.0 to -0.0, the same
+        values as float32, or the same bytes read as int64."""
+        net = random_net((3, 5, 4, 2), seed=6, with_bn=with_bn)
+        w = net.nodes[0].weights
+        w[:] = w.astype(np.float32)  # so that a float32 copy is equal
+        w[0, 0] = 0.0
+        before = self.contents(verifier._prepared(net))
+        if change == "ulp":
+            w[1, 1] = np.nextafter(w[1, 1], np.inf)
+        elif change == "negative_zero":
+            w[0, 0] = -0.0
+        elif change == "float32":
+            net.nodes[0].weights = w.astype(np.float32)
+            assert np.array_equal(net.nodes[0].weights, w)
+        else:
+            net.nodes[0].weights = w.view(np.int64)
+        got = self.contents(verifier._prepared(net))
+        verifier._thread.prepared = None
+        assert got == self.contents(verifier._prepared(net))
+        # only the batch-norm fold of float32 weights equals the old one
+        assert (got == before) == (with_bn and change == "float32")
+
+    def test_reshaped_weights_are_validated(self):
+        """The same bytes in another shape make another key: the reshaped
+        net, now invalid, is validated, not taken for the last one."""
+        net = random_net((4, 2, 2), seed=8, with_bn=False)
+        verifier._prepared(net)
+        net.nodes[0].weights = net.nodes[0].weights.reshape(4, 2)
+        with pytest.raises(ValueError, match="dim mismatch at node 0"):
+            verifier._prepared(net)
 
     def test_verifier_never_mutates_the_fold(self):
         # With samples the root descent runs on the fold and decides these
@@ -1343,7 +1464,7 @@ class TestFoldMemo:
                     res = verify_bab(net, self.query(net, q, eps=0.3), config)
                     steps += res.stats["descent_steps"]
                     leaves += res.stats["enum_leaves"]
-                assert fold_arrays(verifier._thread.fold[1]) == \
+                assert fold_arrays(verifier._prepared(net).fold) == \
                     fold_arrays(fold_batchnorm(net))
             if sample_count:
                 assert steps
