@@ -14,6 +14,6 @@ from .repair import RepairConfig, repair
 from .training import (AdamState, TrainingConfig, adam_step, evaluate,
                        init_network, loss_and_grads, train)
 from .verifier import (BabConfig, Status, VerificationResult, falsify_sample,
-                       interval_forward, verify_bab, verify_ibp)
+                       interval_forward, verify_bab)
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from .repair import RepairConfig, repair
 from .tensor import as_int
 from .training import evaluate, init_network, train
 from .verifier import (LPUndecidedError, SpuriousWitnessError, Status,
-                       verify_bab, verify_ibp)
+                       verify_bab)
 
 __all__ = ["main"]
 
@@ -67,9 +67,13 @@ def cmd_train(args) -> int:
     else:
         hidden = int_list(net_spec.get("hidden", [16]), "config.net.hidden")
         widths = [dataset.input_dim] + hidden + [dataset.num_classes]
+        with_bn = net_spec.get("with_bn", True)
+        if not isinstance(with_bn, bool):
+            raise ConfigError(f"config.net.with_bn must be true or false, "
+                              f"got {with_bn!r}")
         net = init_network(widths, seed=as_int(net_spec.get("init_seed", 0),
                                                "config.net.init_seed"),
-                           with_bn=bool(net_spec.get("with_bn", True)),
+                           with_bn=with_bn,
                            name=str(net_spec.get("name", "net")))
     train_cfg = training_config_from(
         _override(config.get("train", {}), seed=args.seed), "config.train")
@@ -101,21 +105,19 @@ def cmd_prune(args) -> int:
 
 
 def _reject_ignored_flags(args):
-    """A verify flag that the chosen mode would ignore is a usage error."""
-    by_file = "--property" if args.property else None
-    ibp = "--engine ibp" if args.engine == "ibp" else None
-    for flag, value, mode in (
-            ("--robustness", args.robustness or None, by_file),
-            ("--config", args.config, by_file),
-            ("--sample-index", args.sample_index, by_file),
-            ("--epsilon", args.epsilon, by_file),
-            ("--max-nodes", args.max_nodes, ibp),
-            ("--timeout", args.timeout, ibp)):
-        if mode and value is not None:
-            raise ConfigError(f"{flag} has no effect with {mode}")
+    """A robustness flag given with --property, which would ignore it, is a
+    usage error."""
+    if not args.property:
+        return
+    for flag, value in (("--robustness", args.robustness or None),
+                        ("--config", args.config),
+                        ("--sample-index", args.sample_index),
+                        ("--epsilon", args.epsilon)):
+        if value is not None:
+            raise ConfigError(f"{flag} has no effect with --property")
 
 
-def _build_property(args, net):
+def _build_property(args):
     if args.property:
         with open(args.property) as fh:
             return parse_smtlib(fh.read())
@@ -137,15 +139,11 @@ def _sample_property(args):
 def cmd_verify(args) -> int:
     _reject_ignored_flags(args)
     net = load_model(args.model)
-    prop = _build_property(args, net)
+    prop = _build_property(args)
     bab_cfg = bab_config_from(_override({}, time_budget=args.timeout,
                                         max_nodes=args.max_nodes,
                                         seed=args.seed), "verify")
-    if args.engine == "ibp":
-        result = verify_ibp(net, prop, sample_count=bab_cfg.sample_count,
-                            seed=bab_cfg.seed)
-    else:
-        result = verify_bab(net, prop, bab_cfg)
+    result = verify_bab(net, prop, bab_cfg)
     record = {"status": result.status.value, "stats": result.stats}
     if result.counterexample is not None:
         record["counterexample"] = {
@@ -175,11 +173,13 @@ def cmd_repair(args) -> int:
     else:
         context = "config.queries.count"
         indices = range(as_int(queries_spec.get("count", 1), context))
-    split = (dataset.train if queries_spec.get("split") == "train"
-             else dataset.test)
-    properties = robustness_queries(dataset, split, indices,
-                                    float(queries_spec.get("epsilon", 0.01)),
-                                    context)
+    split = queries_spec.get("split", "test")
+    if split not in ("train", "test"):
+        raise ConfigError(f'config.queries.split must be "train" or "test", '
+                          f"got {split!r}")
+    properties = robustness_queries(
+        dataset, getattr(dataset, split), indices,
+        float(queries_spec.get("epsilon", 0.01)), context)
     repair_spec = dict(config.get("repair", {}))
     validate_keys(repair_spec, ("max_iterations",
                                 "counterexamples_per_property_per_round",
@@ -272,7 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-index", type=int)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--config")
-    p.add_argument("--engine", choices=["ibp", "bab"], default="bab")
     p.add_argument("--timeout", type=float)
     p.add_argument("--max-nodes", type=int)
     p.add_argument("--seed", type=int)

@@ -4,6 +4,7 @@ Inputs are normalized to [0, 1] at ingestion so robustness properties have a
 fixed global input domain.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -106,9 +107,6 @@ class Split:
     def __add__(self, other):
         return [*self, *other]
 
-    def __radd__(self, other):
-        return [*other, *self]
-
     def append(self, sample: Sample) -> None:
         n = self._n
         if n == len(self._ys):
@@ -156,56 +154,37 @@ class Dataset:
         self._check(sample)
         self.train.append(sample)
 
-    def add_test_sample(self, sample: Sample) -> None:
-        """Append a copy of sample's row to the test split."""
-        self._check(sample)
-        self.test.append(sample)
 
-
-def _read_idx_images(path: str) -> np.ndarray:
+def _read_idx(path: str, magic: int):
+    """The unsigned-byte payload of the IDX file at `path`, flat, and the
+    sizes its header gives; the last byte of `magic` is their number."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < 16:
+    header = 4 + 4 * (magic & 0xFF)
+    if len(data) < header:
         raise IdxFormatError(f"{path}: truncated header")
-    magic, n, rows, cols = struct.unpack(">IIII", data[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise IdxFormatError(f"{path}: bad magic 0x{magic:08x}, "
-                             f"expected 0x{IDX_IMAGES_MAGIC:08x}")
-    expected = 16 + n * rows * cols
+    found, *sizes = struct.unpack(f">{header // 4}I", data[:header])
+    if found != magic:
+        raise IdxFormatError(f"{path}: bad magic 0x{found:08x}, "
+                             f"expected 0x{magic:08x}")
+    expected = header + math.prod(sizes)
     if len(data) < expected:
         raise IdxFormatError(f"{path}: truncated payload "
                              f"({len(data)} bytes, expected {expected})")
     if len(data) > expected:
         raise IdxFormatError(f"{path}: {len(data) - expected} trailing bytes")
-    images = np.frombuffer(data, dtype=np.uint8, offset=16).reshape(
-        n, rows * cols).astype(np.float64)
-    images /= 255.0
-    return images
-
-
-def _read_idx_labels(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 8:
-        raise IdxFormatError(f"{path}: truncated header")
-    magic, n = struct.unpack(">II", data[:8])
-    if magic != IDX_LABELS_MAGIC:
-        raise IdxFormatError(f"{path}: bad magic 0x{magic:08x}, "
-                             f"expected 0x{IDX_LABELS_MAGIC:08x}")
-    if len(data) < 8 + n:
-        raise IdxFormatError(f"{path}: truncated payload")
-    if len(data) > 8 + n:
-        raise IdxFormatError(f"{path}: {len(data) - 8 - n} trailing bytes")
-    return np.frombuffer(data, dtype=np.uint8, offset=8).astype(np.int64)
+    return np.frombuffer(data, dtype=np.uint8, offset=header), sizes
 
 
 def _read_idx_pair(images_path: str, labels_path: str):
-    images = _read_idx_images(images_path)
-    labels = _read_idx_labels(labels_path)
-    if images.shape[0] != labels.shape[0]:
-        raise IdxFormatError(f"count mismatch: {images.shape[0]} images vs "
-                             f"{labels.shape[0]} labels")
-    return images, labels
+    pixels, (n, rows, cols) = _read_idx(images_path, IDX_IMAGES_MAGIC)
+    labels, _ = _read_idx(labels_path, IDX_LABELS_MAGIC)
+    if n != labels.size:
+        raise IdxFormatError(f"count mismatch: {n} images vs "
+                             f"{labels.size} labels")
+    images = pixels.reshape(n, rows * cols).astype(np.float64)
+    images /= 255.0
+    return images, labels.astype(np.int64)
 
 
 def load_idx_dataset(train_images: str, train_labels: str, test_images: str,

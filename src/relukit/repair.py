@@ -23,6 +23,9 @@ class RepairConfig:
     def __post_init__(self):
         require_int(self, "max_iterations",
                     "counterexamples_per_property_per_round")
+        if not isinstance(self.from_scratch, bool):
+            raise ValueError(f"from_scratch must be true or false, got "
+                             f"{self.from_scratch!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.counterexamples_per_property_per_round < 1:

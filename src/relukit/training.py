@@ -110,12 +110,6 @@ def _collect_params(net: SequentialNetwork) -> dict:
     return params
 
 
-def _assign_params(net: SequentialNetwork, params: dict) -> None:
-    for key, value in params.items():
-        idx, name = key.split(".")
-        setattr(net.nodes[int(idx)], name, value)
-
-
 def _views(params: dict, flat: np.ndarray) -> dict:
     """Views of the vector `flat`, one per entry of `params` and shaped like
     it, laid out in params' order."""
@@ -131,7 +125,9 @@ def _bind_flat(net: SequentialNetwork, params: dict) -> np.ndarray:
     into one new vector in their order, rebind each node's arrays as views
     of it, and return the vector."""
     flat = np.concatenate([p.ravel() for p in params.values()])
-    _assign_params(net, _views(params, flat))
+    for key, view in _views(params, flat).items():
+        idx, name = key.split(".")
+        setattr(net.nodes[int(idx)], name, view)
     return flat
 
 
@@ -149,19 +145,14 @@ _TrainPlan = namedtuple("_TrainPlan", "steps grads bn_at stats")
 
 def _plan(net: SequentialNetwork, out: Optional[np.ndarray] = None):
     """The training plan of `net`, its gradients written into `out` (a
-    contiguous float64 vector with one entry per parameter, laid out in
-    _collect_params order), or into a new vector when out is None.
+    float64 vector with one entry per parameter, laid out in _collect_params
+    order), or into a new vector when out is None.
 
     The records hold `net`'s own arrays, so they see the in-place updates
     adam_step makes to them."""
     params = _collect_params(net)
-    size = sum(p.size for p in params.values())
     if out is None:
-        out = np.empty(size)
-    elif (out.shape != (size,) or out.dtype != np.float64
-          or not out.flags.c_contiguous):
-        raise ValueError(f"out must be a contiguous float64 vector of "
-                         f"{size} entries")
+        out = np.empty(sum(p.size for p in params.values()))
     grads = _views(params, out)
     steps, bn_at, n_stats = [], [], 0
     for i, node in enumerate(net.nodes):
@@ -198,9 +189,10 @@ def _forward_train(plan: _TrainPlan, xs: np.ndarray):
     """Batch-statistics forward; returns (outputs, per-node cache).
 
     The cache holds an FC node's input, a ReLU node's mask, and a batch-norm
-    node's (xhat, inv_std, mu, var). A ReLU's masking and a batch norm's
-    centring and scaling work in place on the array the FC or batch-norm
-    step before them made; xs is only read.
+    node's (xhat, inv_std); its batch mean and variance go to the plan's
+    stats vector. A ReLU's masking and a batch norm's centring and scaling
+    work in place on the array the FC or batch-norm step before them made;
+    xs is only read.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2:
@@ -231,7 +223,7 @@ def _forward_train(plan: _TrainPlan, xs: np.ndarray):
             var /= n
             inv_std = 1.0 / np.sqrt(var + rec.eps)
             h *= inv_std
-            cache.append((h, inv_std, mu, var))
+            cache.append((h, inv_std))
             h = rec.gamma * h + rec.beta
         else:
             mask = h > 0
@@ -258,27 +250,25 @@ def _softmax_ce(logits: np.ndarray, labels: np.ndarray):
 
 
 def loss_and_grads(net: SequentialNetwork, xs: np.ndarray, labels: np.ndarray,
-                   config: TrainingConfig, out: Optional[np.ndarray] = None,
-                   *, plan: Optional[_TrainPlan] = None):
+                   config: TrainingConfig, *,
+                   plan: Optional[_TrainPlan] = None):
     """Surrogate loss and analytic gradients for every parameter.
 
     Returns (loss, grads, parts): grads keyed like _collect_params, parts the
-    decomposition {"surrogate", "l2", "slim"} plus the per-BN batch stats
-    needed for running-stat updates. Every gradient is written into a view
-    of one vector laid out in _collect_params order: `out` when given (a
-    contiguous float64 vector with one entry per parameter, overwritten),
-    else a new one. The batch stats are views of the plan's stats vector.
-    Each label must be an integer in [0, output_dim).
+    decomposition {"surrogate", "l2", "slim"}. Every gradient is written
+    into a view of the plan's gradient vector, laid out in _collect_params
+    order, and each batch norm's batch mean and variance into the plan's
+    stats vector. Each label must be an integer in [0, output_dim).
 
-    train passes `plan`, built once per call by _plan(net, out) after it has
-    checked the network and every label, so each call overwrites the
-    gradients and batch stats of the call before; without it the network
-    and the labels are checked and a plan is built for this one call.
+    train passes `plan`, built once per call by _plan after it has checked
+    the network and every label, so each call overwrites the gradients and
+    batch stats of the call before; without it the network and the labels
+    are checked and a plan is built for this one call.
     """
     if plan is None:
         _require_valid(net)
         labels = _checked_labels(labels, net.output_dim)
-        plan = _plan(net, out)
+        plan = _plan(net)
     logits, cache = _forward_train(plan, xs)
     n_b = logits.shape[0]
     if labels.shape[0] != n_b:
@@ -302,7 +292,7 @@ def loss_and_grads(net: SequentialNetwork, xs: np.ndarray, labels: np.ndarray,
                 l2_term += 0.5 * lam / n_b * float(np.sum(W ** 2))
                 dW += lam / n_b * W
         elif kind is _BN:
-            xhat, inv_std, _, _ = cache[i]
+            xhat, inv_std = cache[i]
             gamma, dgamma = rec.gamma, rec.dgamma
             np.add.reduce(dh * xhat, axis=0, out=dgamma)
             np.add.reduce(dh, axis=0, out=rec.dbeta)
@@ -323,8 +313,7 @@ def loss_and_grads(net: SequentialNetwork, xs: np.ndarray, labels: np.ndarray,
     if not np.isfinite(loss):
         raise NonFiniteError("non-finite training loss")
     parts = {"surrogate": float(ce), "l2": float(l2_term),
-             "slim": float(slim_term),
-             "bn_stats": {i: cache[i][2:] for i in plan.bn_at}}
+             "slim": float(slim_term)}
     return float(loss), plan.grads, parts
 
 
@@ -506,8 +495,7 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
                     idx = (perm[start:start + config.batch_size]
                            if b < len(starts) - 1 else perm[start:])
                     loss, _, parts = loss_and_grads(
-                        net, xs_all[idx], ys_all[idx], config, out=flat_g,
-                        plan=plan)
+                        net, xs_all[idx], ys_all[idx], config, plan=plan)
                     adam_step(flat, flat_g, state, config)
                     if running is not None:
                         running *= 1 - mom

@@ -24,7 +24,7 @@ from .properties import (Box, Property, satisfies_disjunct,
 from .tensor import require_int
 
 __all__ = ["Status", "Counterexample", "VerificationResult", "BabConfig",
-           "interval_forward", "verify_ibp", "verify_bab", "check_pattern",
+           "interval_forward", "verify_bab", "check_pattern",
            "lp_feasible", "falsify_sample", "root_unstable_count",
            "LPUndecidedError", "SpuriousWitnessError"]
 
@@ -71,13 +71,16 @@ class VerificationResult:
 @dataclass
 class BabConfig:
     """Limits and seeds of verify_bab. max_nodes counts every node, phase
-    splits too; time_budget (seconds) is checked before each node, so one
-    leaf's LPs, one sampling batch or the root descent's DESCENT_STEPS steps
-    can overrun it. So can the first LP of a process, which loads the solver
-    (about 0.4 s, counted in that call's wall_time). A node with 1 to
-    enum_threshold unstable ReLUs branches on a ReLU phase. sample_count
-    uniform points, with the centre, are tried at each node with a new box,
-    and the root descent starts from them; 0 turns the descent off."""
+    splits too; max_nodes=1 checks the root only: the bounding step,
+    sampling, the root descent and, when no ReLU is unstable, one LP per
+    disjunct left open. time_budget (seconds) is checked before each node,
+    so one leaf's LPs, one sampling batch or the root descent's
+    DESCENT_STEPS steps can overrun it. So can the first LP of a process,
+    which loads the solver (about 0.4 s, counted in that call's wall_time).
+    A node with 1 to enum_threshold unstable ReLUs branches on a ReLU phase.
+    sample_count uniform points, with the centre, are tried at each node
+    with a new box, and the root descent starts from them; 0 turns the
+    descent off."""
     max_nodes: int = 100000
     min_box_width: float = 1e-6
     enum_threshold: int = 12
@@ -232,7 +235,7 @@ def _compile(violation):
 
 
 def _bound(plan: tuple, box: Box, compiled=None, known=None):
-    """The bounding step over a net's plan (_prepared), for every engine.
+    """The bounding step over a net's plan (_prepared).
 
     Returns (pre_lo, pre_hi, unstable, alive): bounds of every hidden
     pre-activation as two flat vectors (empty without a hidden layer), the
@@ -348,17 +351,6 @@ def _descend(net, plan, prop, compiled, alive, box, points, counters):
         for (w, *_), mask in zip(reversed(plan[:-1]), reversed(masks)):
             g = (g * mask) @ w
         x = np.clip(x - delta * np.sign(g), box.lo, box.hi)
-
-
-def verify_ibp(net: SequentialNetwork, prop: Property,
-               sample_count: int = 32, seed: int = 0) -> VerificationResult:
-    """The root node of verify_bab: refutation by the bounding step, a quick
-    sampling falsification followed by the root descent from its points
-    (when sample_count > 0), and, when no ReLU is unstable, one LP for each
-    disjunct the bounding step leaves open."""
-    return verify_bab(net, prop, BabConfig(max_nodes=1, enum_threshold=0,
-                                           sample_count=sample_count,
-                                           seed=seed))
 
 
 class LPResult(NamedTuple):

@@ -10,10 +10,56 @@ import numpy as np
 
 
 def fm_feasible(constraints, nvars):
-    """Exact feasibility of {coeffs . x <= rhs} over rationals.
+    """Exact feasibility of {coeffs . x <= rhs} over rationals, by
+    Fourier-Motzkin elimination.
 
     constraints: list of (coeffs: list[Fraction] of length nvars, rhs: Fraction).
+
+    Each row is divided by the magnitude of its first nonzero coefficient,
+    so rows that are positive multiples of one another become equal, and of
+    equal rows only the smallest rhs is kept. An all-zero row decides at
+    once: 0 <= rhs holds or the system is infeasible. Each step eliminates
+    the variable with the fewest (positive, negative) row pairs.
+    reference_fm_feasible is the plain elimination it is tested against.
     """
+    rows = {}
+
+    def add(coeffs, rhs):
+        """Whether the row leaves the system possibly feasible."""
+        lead = next((abs(c) for c in coeffs if c), None)
+        if lead is None:
+            return rhs >= 0
+        key = tuple(c / lead for c in coeffs)
+        rhs /= lead
+        if key not in rows or rhs < rows[key]:
+            rows[key] = rhs
+        return True
+
+    if not all(add([Fraction(c) for c in coeffs], Fraction(rhs))
+               for coeffs, rhs in constraints):
+        return False
+    left = list(range(nvars))
+    while rows and left:
+        signs = [([k for k in rows if k[v] > 0], [k for k in rows if k[v] < 0])
+                 for v in left]
+        i = min(range(len(left)),
+                key=lambda i: len(signs[i][0]) * len(signs[i][1]))
+        var, (pos, neg) = left.pop(i), signs[i]
+        combine = [(p, n, rows[p], rows[n]) for p in pos for n in neg]
+        for k in pos + neg:
+            del rows[k]
+        for p, n, pr, nr in combine:
+            # each side scaled to a unit coefficient of var, which cancels
+            sp, sn = 1 / p[var], -1 / n[var]
+            if not add([a * sp + b * sn for a, b in zip(p, n)],
+                       pr * sp + nr * sn):
+                return False
+    return True
+
+
+def reference_fm_feasible(constraints, nvars):
+    """fm_feasible by eliminating the variables in index order, without
+    scaling rows or stopping early: the reference it is tested against."""
     cons = [([Fraction(c) for c in coeffs], Fraction(rhs))
             for coeffs, rhs in constraints]
     for var in range(nvars):

@@ -8,8 +8,7 @@ from relukit.datasets import synth_blobs
 from relukit.experiment import robustness_queries
 from relukit.model_io import load_model, save_model
 from relukit.training import init_network
-from relukit.verifier import (BabConfig, root_unstable_count, verify_bab,
-                              verify_ibp)
+from relukit.verifier import BabConfig, root_unstable_count, verify_bab
 
 
 SYNTH = {"synth": {"seed": 1, "n_per_class": 40, "num_classes": 2,
@@ -108,6 +107,28 @@ class TestTrain:
         assert ("config.train: learning_rate must be finite, got nan"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_non_boolean_with_bn_exits_three(self, tmp_path, value, capsys):
+        # bool("false") is True: a string would have built a batch norm
+        cfg = write_json(tmp_path / "train.json", {
+            "dataset": SYNTH, "net": {"hidden": [4], "with_bn": value},
+            "train": {"epochs": 1}})
+        out = tmp_path / "m.json"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 3
+        assert (f"config.net.with_bn must be true or false, got {value!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("with_bn", [True, False])
+    def test_boolean_with_bn_is_read(self, tmp_path, with_bn):
+        cfg = write_json(tmp_path / "train.json", {
+            "dataset": SYNTH, "net": {"hidden": [4], "with_bn": with_bn},
+            "train": {"epochs": 1}})
+        out = tmp_path / "m.json"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        kinds = [type(n).__name__ for n in load_model(str(out)).nodes]
+        assert ("BatchNorm1DNode" in kinds) == with_bn
 
     @pytest.mark.parametrize("field,value,shown", [
         ("hidden", [4.7], 4.7), ("hidden", [True], True),
@@ -246,18 +267,17 @@ class TestVerify:
         assert json.loads(out.read_text())["stats"]["root_unstable"] == \
             root_unstable_count(load_model(trained_model), prop.input_box)
 
-    @pytest.mark.parametrize("engine", ["bab", "ibp"])
+    @pytest.mark.parametrize("flags,config", [
+        ([], BabConfig()), (["--max-nodes", "1"], BabConfig(max_nodes=1))])
     def test_out_records_descent_steps(self, tmp_path, trained_model,
-                                       train_cfg, engine):
+                                       train_cfg, flags, config):
         out = tmp_path / "result.json"
         main(["verify", "--model", trained_model, "--robustness",
               "--config", train_cfg, "--sample-index", "5",
-              "--epsilon", "0.2", "--engine", engine, "--out", str(out)])
+              "--epsilon", "0.2", "--out", str(out)] + flags)
         dataset = synth_blobs(**SYNTH["synth"])
         prop = robustness_queries(dataset, dataset.test, [5], 0.2, "")[0]
-        net = load_model(trained_model)
-        res = (verify_bab(net, prop, BabConfig()) if engine == "bab"
-               else verify_ibp(net, prop))
+        res = verify_bab(load_model(trained_model), prop, config)
         steps = json.loads(out.read_text())["stats"]["descent_steps"]
         # the descent runs at this query's root and misses
         assert steps == res.stats["descent_steps"] > 0
@@ -278,33 +298,35 @@ class TestVerify:
         assert "must end with a fully-connected layer" in \
             capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,value,mode", [
-        ("--max-nodes", "5", "--engine ibp"),
-        ("--timeout", "0", "--engine ibp"),
-        ("--robustness", None, "--property"),
-        ("--config", "train.json", "--property"),
-        ("--sample-index", "0", "--property"),
-        ("--epsilon", "0.1", "--property")])
+    @pytest.mark.parametrize("flag,value", [
+        ("--robustness", None), ("--config", "train.json"),
+        ("--sample-index", "0"), ("--epsilon", "0.1")])
     def test_ignored_flag_exits_three(self, tmp_path, trained_model,
-                                      train_cfg, flag, value, mode, capsys):
-        if mode == "--property":
-            prop = str(tmp_path / "prop.smt2")
-            assert main(["export-smtlib", "--config", train_cfg,
-                         "--sample-index", "0", "--epsilon", "1e-4",
-                         "--out", prop]) == 0
-            argv = ["--property", prop]
-        else:
-            argv = ["--robustness", "--config", train_cfg, "--sample-index",
-                    "0", "--epsilon", "1e-4", "--engine", "ibp"]
+                                      train_cfg, flag, value, capsys):
+        prop = str(tmp_path / "prop.smt2")
+        assert main(["export-smtlib", "--config", train_cfg,
+                     "--sample-index", "0", "--epsilon", "1e-4",
+                     "--out", prop]) == 0
         given = [flag] + ([value] if value else [])
-        assert main(["verify", "--model", trained_model] + argv + given) == 3
-        assert f"{flag} has no effect with {mode}" in capsys.readouterr().err
+        assert main(["verify", "--model", trained_model, "--property",
+                     prop] + given) == 3
+        assert f"{flag} has no effect with --property" in \
+            capsys.readouterr().err
 
-    def test_ibp_engine(self, trained_model, train_cfg, capsys):
+    def test_root_only(self, trained_model, train_cfg, capsys):
         assert main(["verify", "--model", trained_model, "--robustness",
                      "--config", train_cfg, "--sample-index", "0",
-                     "--epsilon", "1e-4", "--engine", "ibp"]) == 0
+                     "--epsilon", "1e-4", "--max-nodes", "1"]) == 0
         assert capsys.readouterr().out.strip() == "Verified"
+
+    def test_engine_flag_is_gone(self, trained_model, train_cfg, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--model", trained_model, "--robustness",
+                  "--config", train_cfg, "--sample-index", "0",
+                  "--epsilon", "1e-4", "--engine", "ibp"])
+        assert exc.value.code == 3
+        assert "unrecognized arguments: --engine ibp" in \
+            capsys.readouterr().err
 
 
 class TestRepairCommand:
@@ -370,6 +392,32 @@ class TestRepairCommand:
         assert main(["repair", "--model", trained_model, "--config", cfg,
                      "--out", str(out)]) == 3
         assert ("config.queries.indices must be a list of integers, got 0"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split", ["Train", "dev", "", 0, None])
+    def test_unknown_query_split_exits_three(self, tmp_path, trained_model,
+                                             split, capsys):
+        cfg = write_json(tmp_path / "repair.json", {
+            "dataset": SYNTH, "queries": {"count": 1, "split": split},
+            "repair": {"max_iterations": 1}})
+        out = tmp_path / "repaired.json"
+        assert main(["repair", "--model", trained_model, "--config", cfg,
+                     "--out", str(out)]) == 3
+        assert (f'config.queries.split must be "train" or "test", got '
+                f"{split!r}" in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_non_boolean_from_scratch_exits_three(
+            self, tmp_path, trained_model, value, capsys):
+        cfg = write_json(tmp_path / "repair.json", {
+            "dataset": SYNTH, "queries": {"count": 1},
+            "repair": {"from_scratch": value}})
+        out = tmp_path / "repaired.json"
+        assert main(["repair", "--model", trained_model, "--config", cfg,
+                     "--out", str(out)]) == 3
+        assert (f"from_scratch must be true or false, got {value!r}"
                 in capsys.readouterr().err)
         assert not out.exists()
 
@@ -498,7 +546,6 @@ class TestUsageErrors:
          "--epsilon", "0.1", "--out", "p.smt2"],
         # an invalid choice
         ["prune", "--model", "m.json", "--out", "o.json", "--method", "zz"],
-        ["verify", "--model", "m.json", "--engine", "smt"],
         ["eval", "--model", "m.json", "--config", "c.json", "--split", "dev"],
         # a missing required flag
         ["train", "--out", "m.json"],

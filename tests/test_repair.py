@@ -54,6 +54,15 @@ class TestConfigAndInputs:
             RepairConfig(**{field: value})
         assert getattr(RepairConfig(**{field: np.int64(2)}), field) == 2
 
+    @pytest.mark.parametrize("value", ["no", "false", 0, 1, None,
+                                       np.bool_(True)])
+    def test_from_scratch_must_be_a_bool(self, value):
+        # "no" is truthy: it would have retrained from scratch every round
+        with pytest.raises(ValueError, match="from_scratch must be true or "
+                                             f"false, got {value!r}"):
+            RepairConfig(from_scratch=value)
+        assert RepairConfig(from_scratch=False).from_scratch is False
+
 
 class TestAlreadyVerified:
     def test_early_exit_leaves_net_unchanged(self):

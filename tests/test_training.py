@@ -16,8 +16,8 @@ from relukit.network import BatchNorm1DNode, FullyConnectedNode, forward_batch
 from relukit.pruning import network_slim, weight_prune
 from relukit.training import (AdamState, TrainingConfig, adam_step, evaluate,
                               init_network, loss_and_grads, train)
-from relukit.training import (_assign_params, _collect_params,
-                              _forward_train, _plan)
+from relukit.training import (_bind_flat, _collect_params, _forward_train,
+                              _plan)
 
 
 def grad_check(net, xs, ys, config, h=1e-5):
@@ -27,7 +27,7 @@ def grad_check(net, xs, ys, config, h=1e-5):
     params = _collect_params(work)
 
     def loss_fn(p):
-        _assign_params(work, p)
+        _bind_flat(work, p)
         return loss_and_grads(work, xs, ys, config)[0]
 
     fd = finite_diff_grads(loss_fn, params, h=h)
@@ -74,12 +74,15 @@ class TestForwardTrain:
                              bn_momentum=1.0)
         trained, _ = train(net, ds, cfg)
         xs = np.stack([s.input for s in ds.train])
-        ys = np.array([s.label for s in ds.train])
-        bn_stats = loss_and_grads(net, xs, ys, cfg)[2]["bn_stats"]
-        assert bn_stats
-        for i, (mu, var) in bn_stats.items():
-            assert np.allclose(trained.nodes[i].running_mean, mu)
-            assert np.allclose(trained.nodes[i].running_var, var)
+        plan = _plan(net)
+        _forward_train(plan, xs)
+        assert plan.bn_at
+        for i in plan.bn_at:
+            rec = plan.steps[i]
+            assert np.allclose(trained.nodes[i].running_mean,
+                               plan.stats[rec.mu_at])
+            assert np.allclose(trained.nodes[i].running_var,
+                               plan.stats[rec.var_at])
 
     def test_singleton_batch_with_bn_errors(self):
         net = random_net([2, 3, 2], seed=3)
@@ -658,7 +661,8 @@ class TestLossAndGradsOut:
         loss, grads, parts = loss_and_grads(net, xs, ys, cfg)
         out = np.full(sum(p.size for p in _collect_params(net).values()),
                       np.nan)
-        loss_out, grads_out, _ = loss_and_grads(net, xs, ys, cfg, out=out)
+        loss_out, grads_out, _ = loss_and_grads(net, xs, ys, cfg,
+                                                plan=_plan(net, out))
         assert loss_out == loss
         assert list(grads_out) == list(_collect_params(net))
         assert np.array_equal(out, np.concatenate(
@@ -677,14 +681,14 @@ class TestLossAndGradsOut:
         inner = relukit.training.loss_and_grads
         seen = []
 
-        def both(net, xs, ys, config, out=None, *, plan=None):
-            assert plan is not None and out is not None
+        def both(net, xs, ys, config, *, plan=None):
+            assert plan is not None
             direct = inner(net, xs, ys, config)
-            loss, grads, parts = inner(net, xs, ys, config, out=out,
-                                       plan=plan)
+            loss, grads, parts = inner(net, xs, ys, config, plan=plan)
             assert loss == direct[0]
             keys = list(_collect_params(net))
             assert list(grads) == keys == list(direct[1])
+            out = grads[keys[0]].base
             for key in keys:
                 assert np.shares_memory(grads[key], out)
                 assert not np.shares_memory(direct[1][key], out)
@@ -692,11 +696,11 @@ class TestLossAndGradsOut:
             assert list(parts) == list(direct[2])
             for key in ("surrogate", "l2", "slim"):
                 assert parts[key] == direct[2][key]
-            assert list(parts["bn_stats"]) == list(direct[2]["bn_stats"])
-            assert bool(parts["bn_stats"]) == with_bn
-            for i, stats in parts["bn_stats"].items():
-                for a, b in zip(stats, direct[2]["bn_stats"][i]):
-                    assert np.array_equal(a, b)
+            # the batch statistics the plan holds for the running update
+            fresh = _plan(net)
+            _forward_train(fresh, xs)
+            assert bool(plan.bn_at) == with_bn
+            assert np.array_equal(plan.stats, fresh.stats)
             seen.append(len(xs))
             return loss, grads, parts
 
@@ -709,16 +713,6 @@ class TestLossAndGradsOut:
         for a, b in zip(_collect_params(got).values(),
                         _collect_params(expect).values()):
             assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("out", [
-        np.zeros(10), np.zeros(84, dtype=np.float32), np.zeros(168)[::2]],
-        ids=["size", "dtype", "strided"])
-    def test_bad_out_rejected(self, out):
-        net = random_net([5, 9, 3], seed=1, with_bn=False)
-        assert sum(p.size for p in _collect_params(net).values()) == 84
-        with pytest.raises(ValueError, match="out must be"):
-            loss_and_grads(net, np.zeros((2, 5)), np.zeros(2, dtype=int),
-                           TrainingConfig(), out=out)
 
 
 class TestEvaluate:

@@ -13,7 +13,8 @@ import pytest
 
 from conftest import random_net
 from oracles import (enumerated_pattern_verdict, exact_pattern_verdict,
-                     fm_feasible, reference_bound, relu_relaxation)
+                     fm_feasible, reference_bound, reference_fm_feasible,
+                     relu_relaxation)
 from relukit import verifier
 from relukit.datasets import synth_blobs
 from relukit.network import (FullyConnectedNode, ReLUNode, SequentialNetwork,
@@ -25,7 +26,11 @@ from relukit.training import TrainingConfig, init_network, train
 from relukit.verifier import (CEX_TOL, BabConfig, LPUndecidedError,
                               SpuriousWitnessError, Status, check_pattern,
                               falsify_sample, interval_forward, lp_feasible,
-                              root_unstable_count, verify_bab, verify_ibp)
+                              root_unstable_count, verify_bab)
+
+# verify_bab's root node alone: bounding, sampling, the root descent and,
+# with no unstable ReLU, the leaf LPs
+ROOT_ONLY = BabConfig(max_nodes=1)
 
 
 def identity_net(d=1):
@@ -480,18 +485,18 @@ class TestBoundMatchesReference:
                 assert all(p and all(p) for p in passes)
 
 
-class TestVerifyIbp:
+class TestRootOnly:
     def test_verified(self):
-        res = verify_ibp(identity_net(),
+        res = verify_bab(identity_net(),
                          Property(Box([0.0], [1.0]),
-                                  violation([-1.0], -2.0), 1))
+                                  violation([-1.0], -2.0), 1), ROOT_ONLY)
         assert res.status == Status.VERIFIED
         assert res.counterexample is None
 
     def test_falsified_with_witness(self):
-        res = verify_ibp(identity_net(),
+        res = verify_bab(identity_net(),
                          Property(Box([0.0], [1.0]),
-                                  violation([-1.0], -0.5), 1))
+                                  violation([-1.0], -0.5), 1), ROOT_ONLY)
         assert res.status == Status.FALSIFIED
         assert res.counterexample.input[0] >= 0.5
 
@@ -506,7 +511,7 @@ class TestVerifyIbp:
         prop = Property(Box([-1.0], [1.0]), violation([1.0], -0.5), 1)
         assert verifier._bound(plan_of(net), prop.input_box,
                                verifier._compile(prop.violation))[3] == [0]
-        res = verify_ibp(net, prop)
+        res = verify_bab(net, prop, ROOT_ONLY)
         assert res.status == Status.UNKNOWN
         assert not exact_pattern_verdict(
             fc_layers(net), [-1.0], [1.0], [[([1.0], -0.5)]])
@@ -515,7 +520,7 @@ class TestVerifyIbp:
         # true range of |x| over [-1, 1] is [0, 1]; IBP sees [0, 2], but the
         # two triangle relaxations sum to (x + 1) / 2 + (1 - x) / 2 = 1
         prop = Property(Box([-1.0], [1.0]), violation([-1.0], -1.5), 1)
-        res = verify_ibp(abs_net(), prop)
+        res = verify_bab(abs_net(), prop, ROOT_ONLY)
         assert res.status == Status.VERIFIED
         assert res.stats["nodes"] == 1 and res.stats["lp_calls"] == 0
 
@@ -528,7 +533,7 @@ class TestVerifyIbp:
             ReLUNode(2),
             FullyConnectedNode([[1.0, -1.0]], [0.0])])
         prop = Property(Box([0.0], [1.0]), violation([-1.0], -0.5), 1)
-        res = verify_ibp(net, prop)
+        res = verify_bab(net, prop, ROOT_ONLY)
         assert res.status == Status.VERIFIED
         assert res.stats["nodes"] == 1 and res.stats["lp_calls"] == 0
         # Y_0 = x on [0, 1] through a stably active ReLU: Y_0 <= 0.2 and
@@ -538,7 +543,7 @@ class TestVerifyIbp:
             FullyConnectedNode([[1.0]], [0.0])])
         prop = Property(Box([0.0], [1.0]), [[LinearAtom([1.0], 0.2),
                                              LinearAtom([-1.0], -0.8)]], 1)
-        res = verify_ibp(net, prop)
+        res = verify_bab(net, prop, ROOT_ONLY)
         assert res.status == Status.VERIFIED
         assert res.stats["nodes"] == 1 and res.stats["lp_calls"] == 1
 
@@ -551,7 +556,7 @@ class TestDimensionCheck:
         prop = Property(Box(np.zeros(box_dim), np.ones(box_dim)),
                         violation(np.ones(outputs), 0.0), outputs)
         for call in (lambda: verify_bab(net, prop),
-                     lambda: verify_ibp(net, prop),
+                     lambda: verify_bab(net, prop, ROOT_ONLY),
                      lambda: falsify_sample(net, prop, 8)):
             with pytest.raises(ValueError, match=rf"property dims \({box_dim} "
                                rf"in, {outputs} out\) do not match network "
@@ -580,8 +585,8 @@ class TestNoHiddenLayer:
         assert res.status == Status.FALSIFIED
         assert res.counterexample.input[0] == pytest.approx(1.0)
 
-    def test_verify_ibp(self):
-        res = verify_ibp(linear_net(), self.PROP)
+    def test_root_only(self):
+        res = verify_bab(linear_net(), self.PROP, ROOT_ONLY)
         assert res.status == Status.FALSIFIED
         assert res.counterexample.input[0] == pytest.approx(1.0)
 
@@ -931,6 +936,35 @@ class TestVerifyBab:
         assert res.stats["reason"] == "time budget exhausted"
 
 
+def fm_system(rng):
+    """A seeded random system of 1 to 3 variables for the FM oracles: rows
+    of small rationals, some repeated at a positive scale, some all zero."""
+    n = int(rng.integers(1, 4))
+    cons = []
+    for _ in range(int(rng.integers(1, 8))):
+        coeffs = [Fraction(int(c), int(rng.integers(1, 4)))
+                  for c in rng.integers(-3, 4, size=n)]
+        rhs = Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+        cons.append((coeffs, rhs))
+        if rng.random() < 0.3:
+            k = Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+            cons.append(([c * k for c in coeffs],
+                         rhs * k + int(rng.integers(-1, 2))))
+    return cons, n
+
+
+class TestFourierMotzkin:
+    def test_equals_the_plain_elimination(self):
+        """oracles.fm_feasible, which scales, dedupes, stops early and
+        orders its eliminations, against the plain elimination."""
+        rng = np.random.default_rng(3)
+        verdicts = [fm_feasible(*fm_system(rng)) for _ in range(400)]
+        rng = np.random.default_rng(3)
+        for verdict in verdicts:
+            assert verdict == reference_fm_feasible(*fm_system(rng))
+        assert 50 < sum(verdicts) < 350
+
+
 class TestExactOracle:
     def test_search_equals_the_enumeration(self):
         """oracles.exact_pattern_verdict, a depth-first search that cuts
@@ -1180,7 +1214,7 @@ class TestDescent:
                 res = verify_bab(net, prop, BabConfig(
                     seed=seed, sample_count=0, **budget))
                 assert res.stats["descent_steps"] == 0
-            assert "descent_steps" in verify_ibp(net, prop).stats
+            assert "descent_steps" in verify_bab(net, prop, ROOT_ONLY).stats
 
     def test_every_result_counts_descent_steps(self):
         net = corner_net()
@@ -1309,7 +1343,7 @@ class TestFoldMemo:
         verify_bab(abs_net(), Property(Box([-1.0], [1.0]),
                                        violation([1.0], -1.0), 1))
         for call in (lambda: verify_bab(net, prop),
-                     lambda: verify_ibp(net, prop),
+                     lambda: verify_bab(net, prop, ROOT_ONLY),
                      lambda: falsify_sample(net, prop, 8),
                      lambda: root_unstable_count(net, prop.input_box)):
             with pytest.raises(ValueError, match="must end with a fully"):
