@@ -9,8 +9,9 @@ import argparse
 import json
 import sys
 
-from .config import (ConfigError, bab_config_from, dataset_from, int_list,
-                     training_config_from, validate_keys)
+from .config import (ConfigError, _from_signature, _read, bab_config_from,
+                     dataset_from, int_list, training_config_from,
+                     validate_keys)
 from .datasets import Dataset
 from .experiment import robustness_queries, run_experiment
 from .model_io import atomic_write_text, load_model, save_model
@@ -18,7 +19,7 @@ from .network import network_stats
 from .properties import emit_smtlib, parse_smtlib
 from .pruning import PruningConfig, prune_pipeline
 from .repair import RepairConfig, repair
-from .tensor import as_int
+from .tensor import as_float, as_int
 from .training import evaluate, init_network, train
 from .verifier import (LPUndecidedError, SpuriousWitnessError, Status,
                        verify_bab)
@@ -63,18 +64,18 @@ def cmd_train(args) -> int:
     validate_keys(net_spec, ("hidden", "with_bn", "init_seed", "model", "name"),
                   "config.net")
     if "model" in net_spec:
+        if len(net_spec) > 1:
+            raise ConfigError("config.net: 'model' takes no other key, got "
+                              f"{sorted(net_spec)}")
         net = load_model(net_spec["model"])
     else:
         hidden = int_list(net_spec.get("hidden", [16]), "config.net.hidden")
-        widths = [dataset.input_dim] + hidden + [dataset.num_classes]
-        with_bn = net_spec.get("with_bn", True)
-        if not isinstance(with_bn, bool):
-            raise ConfigError(f"config.net.with_bn must be true or false, "
-                              f"got {with_bn!r}")
-        net = init_network(widths, seed=as_int(net_spec.get("init_seed", 0),
-                                               "config.net.init_seed"),
-                           with_bn=with_bn,
-                           name=str(net_spec.get("name", "net")))
+        with_bn = _read(net_spec.get("with_bn", True), bool,
+                        "config.net.with_bn")
+        net = init_network(
+            [dataset.input_dim] + hidden + [dataset.num_classes],
+            seed=as_int(net_spec.get("init_seed", 0), "config.net.init_seed"),
+            with_bn=with_bn, name=str(net_spec.get("name", "net")))
     train_cfg = training_config_from(
         _override(config.get("train", {}), seed=args.seed), "config.train")
     trained, metrics = train(net, dataset, train_cfg)
@@ -88,13 +89,11 @@ def cmd_prune(args) -> int:
     net = load_model(args.model)
     method = {"wp": "weight_pruning", "ns": "network_slimming"}[args.method]
     config = _load_config(args.config) if args.config else {}
-    validate_keys(config, ("dataset", "pre_train", "fine_tune"), "config")
+    validate_keys(config, ("dataset", "fine_tune"), "config")
     dataset = (dataset_from(config["dataset"]) if "dataset" in config
                else Dataset(net.input_dim, net.output_dim))
     prune_cfg = PruningConfig(
         method=method, threshold=args.threshold, ratio=args.ratio,
-        pre_train=(training_config_from(config["pre_train"], "pre_train")
-                   if "pre_train" in config else None),
         fine_tune=(training_config_from(config["fine_tune"], "fine_tune")
                    if "fine_tune" in config else None))
     pruned, report = prune_pipeline(net, dataset, prune_cfg)
@@ -177,17 +176,14 @@ def cmd_repair(args) -> int:
     if split not in ("train", "test"):
         raise ConfigError(f'config.queries.split must be "train" or "test", '
                           f"got {split!r}")
-    properties = robustness_queries(
-        dataset, getattr(dataset, split), indices,
-        float(queries_spec.get("epsilon", 0.01)), context)
-    repair_spec = dict(config.get("repair", {}))
-    validate_keys(repair_spec, ("max_iterations",
-                                "counterexamples_per_property_per_round",
-                                "from_scratch"), "config.repair")
-    repair_cfg = RepairConfig(
+    epsilon = as_float(queries_spec.get("epsilon", 0.01),
+                       "config.queries.epsilon")
+    properties = robustness_queries(dataset, getattr(dataset, split),
+                                    indices, epsilon, context)
+    repair_cfg = _from_signature(
+        RepairConfig, config.get("repair", {}), "config.repair",
         trainer=training_config_from(config.get("trainer", {}), "trainer"),
-        verifier=bab_config_from(config.get("verifier", {}), "verifier"),
-        **repair_spec)
+        verifier=bab_config_from(config.get("verifier", {}), "verifier"))
     repaired, report = repair(net, properties, dataset, repair_cfg)
     save_model(repaired, args.out)
     if args.report:

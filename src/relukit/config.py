@@ -4,10 +4,12 @@ All documents are JSON objects; unknown keys are rejected so typos fail
 loudly before any work starts.
 """
 
-import dataclasses
+import functools
+import inspect
+import typing
 
 from .datasets import Dataset, load_idx_dataset, synth_blobs
-from .tensor import as_int
+from .tensor import as_float, as_int
 from .training import TrainingConfig
 from .verifier import BabConfig
 
@@ -19,12 +21,14 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
-def validate_keys(obj: dict, allowed, context: str) -> None:
+def validate_keys(obj: dict, allowed, context: str, required=()) -> None:
+    """obj must be an object, its keys all in allowed and covering required."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{context}: expected an object")
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+    for problem, keys in (("unknown", set(obj) - set(allowed)),
+                          ("missing", set(required) - set(obj))):
+        if keys:
+            raise ConfigError(f"{context}: {problem} keys {sorted(keys)}")
 
 
 def int_list(value, name: str) -> list:
@@ -35,24 +39,41 @@ def int_list(value, name: str) -> list:
     return [as_int(v, name) for v in value]
 
 
-def _from_fields(cls, obj: dict, context: str):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    validate_keys(obj, fields, context)
+def _read(value, kind, name: str):
+    """value read by its parameter's annotation `kind`: an int by as_int, a
+    float checked by as_float (so a 10 stays 10 in the documents that echo
+    it), a bool as JSON true or false only, any other kind as it is."""
+    kinds = typing.get_args(kind) or (kind,)  # Optional[float]: float, None
+    if value is None and type(None) in kinds:
+        return None
+    if int in kinds:
+        return as_int(value, name)
+    if float in kinds:
+        as_float(value, name)
+    elif bool in kinds and not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _from_signature(fn, obj: dict, context: str, **fixed):
+    """fn(**obj, **fixed), where obj gives fn's other parameters (those with
+    no default are required), each _read by its annotation. A bad key or
+    value, or fn's TypeError or ValueError, is a ConfigError naming context."""
+    params = {k: p for k, p in inspect.signature(fn).parameters.items()
+              if k not in fixed}
+    validate_keys(obj, params, context,
+                  [k for k, p in params.items() if p.default is p.empty])
     try:
-        return cls(**obj)
+        return fn(**{k: _read(v, params[k].annotation, k)
+                     for k, v in obj.items()}, **fixed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
-def training_config_from(obj: dict, context: str = "train") -> TrainingConfig:
-    return _from_fields(TrainingConfig, obj, context)
+training_config_from = functools.partial(_from_signature, TrainingConfig)
+bab_config_from = functools.partial(_from_signature, BabConfig)
 
 
-def bab_config_from(obj: dict, context: str = "verify") -> BabConfig:
-    return _from_fields(BabConfig, obj, context)
-
-
-_SYNTH_KEYS = ("seed", "n_per_class", "num_classes", "dim", "spread")
 _IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels",
              "input_dim", "num_classes")
 
@@ -62,17 +83,9 @@ def dataset_from(obj: dict, context: str = "dataset") -> Dataset:
     if ("synth" in obj) == ("idx" in obj):
         raise ConfigError(f"{context}: provide exactly one of 'synth' or 'idx'")
     if "synth" in obj:
-        spec = obj["synth"]
-        validate_keys(spec, _SYNTH_KEYS, f"{context}.synth")
-        missing = set(_SYNTH_KEYS) - set(spec)
-        if missing:
-            raise ConfigError(f"{context}.synth: missing keys {sorted(missing)}")
-        return synth_blobs(**spec)
+        return _from_signature(synth_blobs, obj["synth"], f"{context}.synth")
     spec = obj["idx"]
-    validate_keys(spec, _IDX_KEYS, f"{context}.idx")
-    missing = set(_IDX_KEYS) - set(spec)
-    if missing:
-        raise ConfigError(f"{context}.idx: missing keys {sorted(missing)}")
+    validate_keys(spec, _IDX_KEYS, f"{context}.idx", _IDX_KEYS)
     ds = load_idx_dataset(spec["train_images"], spec["train_labels"],
                           spec["test_images"], spec["test_labels"])
     declared = tuple(as_int(spec[key], f"{context}.idx.{key}")

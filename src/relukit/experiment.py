@@ -2,8 +2,8 @@
 batch-verify a robustness query set per variant and tabulate solved counts.
 
 Rows mirror the Baseline / Sparse / WP / NS comparison: weight pruning is
-applied to the baseline network, network slimming to the sparse one, both
-followed by an optional fine-tune.
+applied to the baseline network, network slimming to the sparse one, each
+by prune_pipeline with the optional fine-tune.
 """
 
 import dataclasses
@@ -11,19 +11,17 @@ import time
 
 import numpy as np
 
-from .config import (ConfigError, bab_config_from, dataset_from, int_list,
-                     training_config_from, validate_keys)
+from .config import (ConfigError, _from_signature, bab_config_from,
+                     dataset_from, int_list, training_config_from,
+                     validate_keys)
 from .network import network_stats
 from .properties import Box, robustness_property
-from .pruning import PruningConfig, network_slim, weight_prune
-from .tensor import as_int
+from .pruning import PruningConfig, prune_pipeline
+from .tensor import as_float, as_int
 from .training import evaluate, init_network, train
 from .verifier import Status, _solver, verify_bab
 
 __all__ = ["robustness_queries", "run_experiment"]
-
-_TOP_KEYS = ("seed", "dataset", "hidden", "baseline_train", "sparse_train",
-             "fine_tune", "wp", "ns", "queries", "verify")
 
 
 def robustness_queries(dataset, samples, indices, epsilon, context):
@@ -42,21 +40,6 @@ def robustness_queries(dataset, samples, indices, epsilon, context):
                                            epsilon, domain,
                                            dataset.num_classes))
     return queries
-
-
-def _queries_from(obj, dataset):
-    validate_keys(obj, ("count", "epsilon"), "queries")
-    count = as_int(obj.get("count", 20), "queries.count")
-    epsilon = float(obj.get("epsilon", 0.02))
-    return robustness_queries(dataset, dataset.test, range(count), epsilon,
-                              "queries.count")
-
-
-def _pruning_from(method, spec, context):
-    try:
-        return PruningConfig(method, **spec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def _verify_variant(name, net, queries, bab_cfg):
@@ -90,10 +73,10 @@ def run_experiment(config: dict) -> dict:
     root-unstable ReLU counts and per-instance records, plus the trained
     variant summaries.
     """
-    validate_keys(config, _TOP_KEYS, "experiment config")
-    for key in ("dataset", "hidden", "baseline_train", "sparse_train"):
-        if key not in config:
-            raise ConfigError(f"experiment config: missing '{key}'")
+    required = ("dataset", "hidden", "baseline_train", "sparse_train")
+    validate_keys(config, required + ("seed", "fine_tune", "wp", "ns",
+                                      "queries", "verify"),
+                  "experiment config", required)
     seed = as_int(config.get("seed", 0), "seed")
     dataset = dataset_from(config["dataset"])
     hidden = int_list(config["hidden"], "hidden")
@@ -103,26 +86,28 @@ def run_experiment(config: dict) -> dict:
     sparse_cfg = training_config_from(config["sparse_train"], "sparse_train")
     fine_cfg = (training_config_from(config["fine_tune"], "fine_tune")
                 if "fine_tune" in config else None)
-    wp_spec = config.get("wp", {"ratio": 0.5})
-    validate_keys(wp_spec, ("ratio", "threshold"), "wp")
-    wp_cfg = _pruning_from("weight_pruning", wp_spec, "wp")
-    ns_spec = config.get("ns", {"ratio": 0.5})
-    validate_keys(ns_spec, ("ratio",), "ns")
-    ns_cfg = _pruning_from("network_slimming", {"ratio": 0.5, **ns_spec}, "ns")
+    wp_cfg = _from_signature(PruningConfig, config.get("wp", {"ratio": 0.5}),
+                             "wp", method="weight_pruning", fine_tune=fine_cfg)
+    ns_spec = config.get("ns", {})
+    if isinstance(ns_spec, dict):
+        ns_spec = {"ratio": 0.5, **ns_spec}
+    ns_cfg = _from_signature(PruningConfig, ns_spec, "ns",
+                             method="network_slimming", fine_tune=fine_cfg)
     bab_cfg = bab_config_from(config.get("verify", {}), "verify")
+    queries_spec = config.get("queries", {})
+    validate_keys(queries_spec, ("count", "epsilon"), "queries")
+    queries = robustness_queries(
+        dataset, dataset.test,
+        range(as_int(queries_spec.get("count", 20), "queries.count")),
+        as_float(queries_spec.get("epsilon", 0.02), "queries.epsilon"),
+        "queries.count")
 
     fresh = init_network(widths, seed=seed, with_bn=True, name="experiment")
     baseline, _ = train(fresh, dataset, base_cfg)
     sparse, _ = train(fresh, dataset, sparse_cfg)
+    wp_net, _ = prune_pipeline(baseline, dataset, wp_cfg)
+    ns_net, _ = prune_pipeline(sparse, dataset, ns_cfg)
 
-    wp_net = weight_prune(baseline, threshold=wp_cfg.threshold,
-                          ratio=wp_cfg.ratio)
-    ns_net = network_slim(sparse, ns_cfg.ratio)
-    if fine_cfg is not None:
-        wp_net, _ = train(wp_net, dataset, fine_cfg)
-        ns_net, _ = train(ns_net, dataset, fine_cfg)
-
-    queries = _queries_from(config.get("queries", {}), dataset)
     variants = [("Baseline", baseline), ("Sparse", sparse),
                 ("WP", wp_net), ("NS", ns_net)]
     _solver()  # loads HiGHS now, so that no query's time carries the load

@@ -25,7 +25,6 @@ class PruningConfig:
     method: str  # "weight_pruning" | "network_slimming"
     threshold: Optional[float] = None
     ratio: Optional[float] = None
-    pre_train: Optional[TrainingConfig] = None
     fine_tune: Optional[TrainingConfig] = None
 
     def __post_init__(self):
@@ -159,17 +158,13 @@ def _stage_report(name: str, net: SequentialNetwork, dataset: Dataset) -> dict:
 
 def prune_pipeline(net: SequentialNetwork, dataset: Dataset,
                    config: PruningConfig):
-    """Optional pre-train, prune, optional fine-tune; returns (net, report)."""
+    """Prune, then fine-tune if config.fine_tune is set; (net, report)."""
     stages = [_stage_report("input", net, dataset)]
-    if config.pre_train is not None:
-        net, _ = train(net, dataset, config.pre_train)
-        stages.append(_stage_report("pre_train", net, dataset))
     if config.method == "weight_pruning":
         net = weight_prune(net, threshold=config.threshold, ratio=config.ratio)
-        stages.append(_stage_report("weight_pruning", net, dataset))
     else:
         net = network_slim(net, config.ratio)
-        stages.append(_stage_report("network_slimming", net, dataset))
+    stages.append(_stage_report(config.method, net, dataset))
     if config.fine_tune is not None:
         net, _ = train(net, dataset, config.fine_tune)
         stages.append(_stage_report("fine_tune", net, dataset))

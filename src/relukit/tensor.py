@@ -4,6 +4,7 @@ All numeric data is float64 numpy, row-major. W[i][j] is the weight from
 input j to output neuron i.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -15,6 +16,7 @@ __all__ = [
     "as_matrix",
     "check_finite",
     "as_int",
+    "as_float",
     "require_int",
 ]
 
@@ -55,6 +57,15 @@ def as_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_float(value, name: str) -> float:
+    """value as a float; ValueError naming `name` unless a finite non-bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
 def require_int(owner, *names) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 from .datasets import Dataset, Split
 from .network import (BatchNorm1DNode, FullyConnectedNode, ReLUNode,
                       SequentialNetwork, _require_valid, forward_batch)
-from .tensor import NonFiniteError, require_int
+from .tensor import NonFiniteError, as_float, require_int
 
 __all__ = ["TrainingConfig", "AdamState", "init_network", "loss_and_grads",
            "adam_step", "train", "evaluate"]
@@ -43,9 +43,7 @@ class TrainingConfig:
     def __post_init__(self):
         require_int(self, "batch_size", "epochs", "seed")
         for name in _FLOAT_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got "
-                                 f"{getattr(self, name)!r}")
+            as_float(getattr(self, name), name)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +10,8 @@ from relukit.cli import main
 from relukit.datasets import synth_blobs
 from relukit.experiment import robustness_queries
 from relukit.model_io import load_model, save_model
-from relukit.training import init_network
+from relukit.repair import RepairConfig
+from relukit.training import TrainingConfig, init_network, train
 from relukit.verifier import BabConfig, root_unstable_count, verify_bab
 
 
@@ -145,6 +149,37 @@ class TestTrain:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_model_continues_training(self, tmp_path, trained_model):
+        settings = {"epochs": 3, "batch_size": 8, "learning_rate": 0.02,
+                    "seed": 5}
+        cfg = write_json(tmp_path / "more.json", {
+            "dataset": SYNTH, "net": {"model": trained_model},
+            "train": settings})
+        out, want = tmp_path / "more_model.json", tmp_path / "want.json"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        net, _ = train(load_model(trained_model), synth_blobs(**SYNTH["synth"]),
+                       TrainingConfig(**settings))
+        save_model(net, str(want))
+        assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("extra", [
+        {"hidden": [64, 64]}, {"with_bn": False}, {"init_seed": 7},
+        {"name": "other"},
+        {"hidden": [64, 64], "with_bn": False, "init_seed": 7,
+         "name": "other"}], ids=["hidden", "with_bn", "init_seed", "name",
+                                 "all"])
+    def test_model_takes_no_other_net_key(self, tmp_path, trained_model,
+                                          extra, capsys):
+        cfg = write_json(tmp_path / "more.json", {
+            "dataset": SYNTH, "net": {"model": trained_model, **extra},
+            "train": {"epochs": 1}})
+        out = tmp_path / "more_model.json"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "config.net: 'model' takes no other key" in err
+        assert all(repr(key) in err for key in extra)
+        assert not out.exists()
+
     @pytest.mark.parametrize("hidden", [4, "4", {"width": 4}],
                              ids=["number", "string", "object"])
     def test_hidden_not_a_list_exits_three(self, tmp_path, hidden, capsys):
@@ -180,6 +215,16 @@ class TestPrune:
         doc = json.loads(report.read_text())
         stages = [s["stage"] for s in doc["stages"]]
         assert stages == ["input", "network_slimming"]
+
+    def test_pre_train_key_is_gone(self, tmp_path, trained_model, capsys):
+        cfg = write_json(tmp_path / "prune.json", {
+            "dataset": SYNTH, "pre_train": {"epochs": 1}})
+        out = tmp_path / "pruned.json"
+        assert main(["prune", "--model", trained_model, "--out", str(out),
+                     "--method", "wp", "--ratio", "0.5",
+                     "--config", cfg]) == 3
+        assert "config: unknown keys ['pre_train']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_method_flag(self, tmp_path, trained_model):
         with pytest.raises(SystemExit):
@@ -452,6 +497,40 @@ class TestExperimentCommand:
             capsys.readouterr().err
         assert not out.exists()
 
+    def test_runs_to_the_end(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "experiment.json", {
+            "seed": 2, "dataset": SYNTH, "hidden": [4, 4],
+            "baseline_train": {"epochs": 3, "batch_size": 16,
+                               "learning_rate": 0.01, "seed": 2},
+            "sparse_train": {"epochs": 3, "batch_size": 16,
+                             "learning_rate": 0.01, "seed": 2,
+                             "slim_lambda": 0.02},
+            "fine_tune": {"epochs": 1, "batch_size": 16, "seed": 2},
+            "queries": {"count": 3, "epsilon": 0.02},
+            "verify": {"time_budget": 10.0}})
+        out = tmp_path / "results.json"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [re.fullmatch(r" *(\w+): solved (\d+) \(verified (\d+), "
+                             r"falsified (\d+)\), mean root-unstable "
+                             r"(\d+\.\d)", line).groups() for line in lines]
+        table = json.loads(out.read_text())["table"]
+        assert [r[0] for r in rows] == ["Baseline", "Sparse", "WP", "NS"]
+        assert rows == [(t["variant"], str(t["solved"]), str(t["verified"]),
+                         str(t["falsified"]),
+                         f"{t['mean_root_unstable']:.1f}") for t in table]
+
+    def test_ns_threshold_exits_three(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "experiment.json", {
+            "dataset": SYNTH, "hidden": [4],
+            "baseline_train": {"epochs": 1}, "sparse_train": {"epochs": 1},
+            "ns": {"threshold": 0.1}})
+        out = tmp_path / "results.json"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 3
+        assert "ns: network slimming takes no threshold" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_integer_sample_count_exits_three(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "experiment.json", {
             "dataset": SYNTH, "hidden": [4],
@@ -479,6 +558,96 @@ class TestExperimentCommand:
         out = tmp_path / "results.json"
         assert main(["experiment", "--config", cfg, "--out", str(out)]) == 3
         assert shown in capsys.readouterr().err
+        assert not out.exists()
+
+
+def numeric_fields(cls):
+    return [(f.name, f.type) for f in dataclasses.fields(cls)
+            if f.type in (int, float)]
+
+
+# A config per command that runs to the end, and every numeric field the
+# command reads from it: (command, path to the field, kind), where the kind
+# "ints" is a list of integers.
+SWEEP_BASES = {
+    "train": {"dataset": SYNTH, "net": {"hidden": [4]},
+              "train": {"epochs": 1}},
+    "repair": {"dataset": SYNTH, "queries": {"count": 1},
+               "repair": {"max_iterations": 1}, "trainer": {"epochs": 1},
+               "verifier": {"time_budget": 10.0}},
+    "experiment": {"dataset": SYNTH, "hidden": [4],
+                   "baseline_train": {"epochs": 1},
+                   "sparse_train": {"epochs": 1}, "queries": {"count": 2}},
+}
+SWEEP_FIELDS = (
+    [("train", ("train", name), kind)
+     for name, kind in numeric_fields(TrainingConfig)]
+    + [("train", ("dataset", "synth", name), kind)
+       for name, kind in [("seed", int), ("n_per_class", int),
+                          ("num_classes", int), ("dim", int),
+                          ("spread", float)]]
+    + [("train", ("net", "hidden"), "ints"),
+       ("train", ("net", "init_seed"), int)]
+    + [("repair", ("trainer", name), kind)
+       for name, kind in numeric_fields(TrainingConfig)]
+    + [("repair", ("verifier", name), kind)
+       for name, kind in numeric_fields(BabConfig)]
+    + [("repair", ("repair", name), kind)
+       for name, kind in numeric_fields(RepairConfig)]
+    + [("repair", ("queries", "count"), int),
+       ("repair", ("queries", "indices"), "ints"),
+       ("repair", ("queries", "epsilon"), float)]
+    + [("experiment", ("verify", name), kind)
+       for name, kind in numeric_fields(BabConfig)]
+    + [("experiment", ("seed",), int), ("experiment", ("hidden",), "ints"),
+       ("experiment", ("wp", "threshold"), float),
+       ("experiment", ("wp", "ratio"), float),
+       ("experiment", ("ns", "ratio"), float),
+       ("experiment", ("queries", "count"), int),
+       ("experiment", ("queries", "epsilon"), float)]
+)
+
+
+def sweep_cases():
+    for command, path, kind in SWEEP_FIELDS:
+        for value in [True, "1"] + ([] if kind is float else [1.5]):
+            yield pytest.param(command, path, kind, value,
+                               id=f"{command}-{'.'.join(path)}-{value!r}")
+
+
+def run_command(tmp_path, command, config):
+    """main's exit code for `command` on config, and the output path."""
+    cfg = write_json(tmp_path / "config.json", config)
+    out = tmp_path / "out.json"
+    argv = [command, "--config", cfg, "--out", str(out)]
+    if command == "repair":
+        model = tmp_path / "model.json"
+        save_model(init_network([2, 4, 2], seed=0), str(model))
+        argv += ["--model", str(model)]
+    return main(argv), out
+
+
+class TestMisreadValues:
+    """A JSON true or string in any numeric config field, or a fraction in
+    an integer one, is a config error naming the field, not a value read
+    as 1 or a traceback."""
+
+    @pytest.mark.parametrize("command", sorted(SWEEP_BASES))
+    def test_base_config_runs(self, tmp_path, command):
+        code, out = run_command(tmp_path, command, SWEEP_BASES[command])
+        assert code == 0 and out.exists()
+
+    @pytest.mark.parametrize("command,path,kind,value", sweep_cases())
+    def test_exits_three_naming_the_field(self, tmp_path, command, path,
+                                          kind, value, capsys):
+        config = copy.deepcopy(SWEEP_BASES[command])
+        section = config
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = [value] if kind == "ints" else value
+        code, out = run_command(tmp_path, command, config)
+        assert code == 3
+        assert f"{path[-1]} must be" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -2,7 +2,11 @@ import pytest
 
 import relukit.experiment
 from relukit.config import ConfigError
+from relukit.datasets import synth_blobs
 from relukit.experiment import run_experiment
+from relukit.model_io import network_to_document
+from relukit.pruning import network_slim, weight_prune
+from relukit.training import TrainingConfig, init_network, train
 from relukit.verifier import root_unstable_count
 
 
@@ -78,6 +82,43 @@ class TestRunExperiment:
         cfg["basline_train"] = {}
         with pytest.raises(ConfigError):
             run_experiment(cfg)
+
+
+def without_fine_tune():
+    cfg = small_config()
+    del cfg["fine_tune"]
+    cfg["wp"] = {"threshold": 0.3}
+    return cfg
+
+
+@pytest.mark.parametrize("config", [small_config(), without_fine_tune()],
+                         ids=["fine-tune", "wp-threshold-no-fine-tune"])
+def test_variants_are_composed_by_hand(monkeypatch, config):
+    """Baseline and Sparse train one fresh net; WP prunes the Baseline and
+    NS slims the Sparse net, each then fine-tuned when fine_tune is given."""
+    verified = []
+    inner = relukit.experiment.verify_bab
+    monkeypatch.setattr(relukit.experiment, "verify_bab",
+                        lambda net, prop, cfg: verified.append(net)
+                        or inner(net, prop, cfg))
+    run_experiment(config)
+    got = list({id(net): net for net in verified}.values())
+
+    dataset = synth_blobs(**config["dataset"]["synth"])
+    fresh = init_network([2, 8, 8, 2], seed=3, with_bn=True,
+                         name="experiment")
+    baseline, _ = train(fresh, dataset,
+                        TrainingConfig(**config["baseline_train"]))
+    sparse, _ = train(fresh, dataset, TrainingConfig(**config["sparse_train"]))
+    wp = weight_prune(baseline, **config["wp"])
+    ns = network_slim(sparse, config["ns"]["ratio"])
+    if "fine_tune" in config:
+        fine = TrainingConfig(**config["fine_tune"])
+        wp, _ = train(wp, dataset, fine)
+        ns, _ = train(ns, dataset, fine)
+    assert len(got) == 4
+    for net, want in zip(got, [baseline, sparse, wp, ns]):
+        assert network_to_document(net) == network_to_document(want)
 
 
 def test_root_unstable_is_root_unstable_count(monkeypatch):

@@ -171,11 +171,11 @@ class TestPrunePipeline:
 
     def test_ns_with_fine_tune_recovers(self):
         ds = synth_blobs(1, 50, 2, 2, 0.05)
-        net = init_network([2, 12, 2], seed=1)
+        net, _ = train(init_network([2, 12, 2], seed=1), ds,
+                       TrainingConfig(epochs=30, batch_size=16, seed=1,
+                                      learning_rate=0.01, slim_lambda=0.02))
         cfg = PruningConfig(
             method="network_slimming", ratio=0.5,
-            pre_train=TrainingConfig(epochs=30, batch_size=16, seed=1,
-                                     learning_rate=0.01, slim_lambda=0.02),
             fine_tune=TrainingConfig(epochs=20, batch_size=16, seed=1,
                                      learning_rate=0.01))
         out, report = prune_pipeline(net, ds, cfg)
@@ -187,12 +187,11 @@ class TestPrunePipeline:
     def test_pipeline_deterministic(self):
         ds = synth_blobs(2, 30, 2, 2, 0.08)
         net = init_network([2, 8, 2], seed=4)
-        cfg = PruningConfig(
-            method="network_slimming", ratio=0.25,
-            pre_train=TrainingConfig(epochs=5, batch_size=8, seed=2,
-                                     slim_lambda=0.01))
-        a, _ = prune_pipeline(net, ds, cfg)
-        b, _ = prune_pipeline(net, ds, cfg)
+        pre_train = TrainingConfig(epochs=5, batch_size=8, seed=2,
+                                   slim_lambda=0.01)
+        cfg = PruningConfig(method="network_slimming", ratio=0.25)
+        a, _ = prune_pipeline(train(net, ds, pre_train)[0], ds, cfg)
+        b, _ = prune_pipeline(train(net, ds, pre_train)[0], ds, cfg)
         assert np.array_equal(all_weights(a), all_weights(b))
 
     def test_config_validation(self):

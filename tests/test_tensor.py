@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from relukit.tensor import (NonFiniteError, ShapeMismatchError, as_matrix,
-                            as_vector, check_finite)
+from relukit.tensor import (NonFiniteError, ShapeMismatchError, as_float,
+                            as_matrix, as_vector, check_finite)
 
 
 class TestCoercion:
@@ -28,3 +30,26 @@ class TestCheckFinite:
     def test_non_finite_names_context(self, bad):
         with pytest.raises(NonFiniteError, match="node 3"):
             check_finite(np.array([1.0, bad]), "node 3")
+
+
+class TestAsFloat:
+    @pytest.mark.parametrize("value", [0, 3, -2.5, 1e308, np.float32(0.5),
+                                       np.int64(7)])
+    def test_finite_number_is_read(self, value):
+        got = as_float(value, "x")
+        assert type(got) is float and got == float(value)
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.1",
+                                       None, [1.0]])
+    def test_non_number_is_rejected(self, value):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"x must be a number, got {value!r}")):
+            as_float(value, "x")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf"), np.float32("nan"),
+                                       np.float32("inf")])
+    def test_non_finite_is_rejected(self, value):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"x must be finite, got {value!r}")):
+            as_float(value, "x")

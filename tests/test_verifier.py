@@ -936,6 +936,90 @@ class TestVerifyBab:
         assert res.stats["reason"] == "time budget exhausted"
 
 
+class TestFallbacks:
+    """The paths on which verify_bab decides nothing at a node: a leaf whose
+    LP is undecided or whose witness is spurious splits its box instead, and
+    a box thinner than min_box_width counts as undecided."""
+
+    # y = x on [0, 1]; the violation y <= 0.3 and y >= 0.7 holds nowhere,
+    # but each atom alone holds somewhere, so only the leaf LP decides the
+    # root, and the split at x = 0.5 lets the bounds refute both halves
+    GAP = Property(Box([0.0], [1.0]),
+                   [[LinearAtom([1.0], 0.3), LinearAtom([-1.0], -0.7)]], 1)
+    # y = x on [0, 1]; y >= 0.75 holds on [0.75, 1], away from the centre
+    FAR = Property(Box([0.0], [1.0]), violation([-1.0], -0.75), 1)
+
+    @staticmethod
+    def undecided_lp(monkeypatch):
+        monkeypatch.setattr(verifier, "linprog",
+                            lambda *args: verifier.LPResult(4, message="x"))
+
+    def test_gap_is_decided_by_the_leaf_lp(self):
+        res = verify_bab(linear_net(), self.GAP, BabConfig(sample_count=0))
+        assert res.status == Status.VERIFIED
+        assert (res.stats["nodes"], res.stats["lp_calls"]) == (1, 1)
+
+    def test_undecided_leaf_splits_its_box(self, monkeypatch):
+        self.undecided_lp(monkeypatch)
+        res = verify_bab(linear_net(), self.GAP,
+                         BabConfig(sample_count=0, max_nodes=2))
+        # the root's LP was undecided, so the root split: its first half
+        # was refuted by its bounds and the second is left when the budget
+        # runs out
+        assert res.status == Status.UNKNOWN
+        assert res.stats["reason"] == "node budget exhausted"
+        assert (res.stats["nodes"], res.stats["lp_calls"]) == (2, 1)
+        assert res.stats["enum_leaves"] == 1
+
+    def test_undecided_leaf_too_thin_to_split_is_unknown(self, monkeypatch):
+        self.undecided_lp(monkeypatch)
+        res = verify_bab(linear_net(), self.GAP,
+                         BabConfig(sample_count=0, min_box_width=2.0))
+        assert res.status == Status.UNKNOWN
+        assert res.stats["reason"] == "1 nodes hit the minimum box width"
+        assert (res.stats["nodes"], res.stats["lp_calls"]) == (1, 1)
+
+    def test_spurious_witness_raises(self, monkeypatch):
+        net = linear_net()
+        assert check_pattern(net, self.FAR.input_box, np.zeros(0, dtype=int),
+                             self.FAR.violation[0]) is not None
+        # the concrete pass moves every output below the disjunct's bound
+        monkeypatch.setattr(verifier, "forward", lambda net, x: x - 1.0)
+        with pytest.raises(SpuriousWitnessError, match="re-validation"):
+            check_pattern(net, self.FAR.input_box, np.zeros(0, dtype=int),
+                          self.FAR.violation[0])
+
+    def test_spurious_witness_splits_its_box(self, monkeypatch):
+        monkeypatch.setattr(verifier, "forward", lambda net, x: x - 1.0)
+        res = verify_bab(linear_net(), self.FAR,
+                         BabConfig(sample_count=0, min_box_width=2.0))
+        assert res.status == Status.UNKNOWN
+        assert res.stats["reason"] == "1 nodes hit the minimum box width"
+        assert (res.stats["nodes"], res.stats["lp_calls"]) == (1, 1)
+        # [0, 1] splits; the bounds refute [0, 0.5]; [0.5, 1] splits; its
+        # halves, thinner than 0.3, each run an LP whose witness is spurious
+        res = verify_bab(linear_net(), self.FAR,
+                         BabConfig(sample_count=0, min_box_width=0.3))
+        assert res.status == Status.UNKNOWN
+        assert res.stats["reason"] == "2 nodes hit the minimum box width"
+        assert (res.stats["nodes"], res.stats["lp_calls"]) == (5, 4)
+
+    def test_box_thinner_than_min_width_is_unknown(self):
+        # |x| on [-1, 1]: both ReLUs are unstable, y >= 0.9 holds only near
+        # the ends and not at the centre, and enum_threshold 0 sends the
+        # root to an input split its width 2 cannot make
+        prop = Property(Box([-1.0], [1.0]), violation([-1.0], -0.9), 1)
+        res = verify_bab(abs_net(), prop,
+                         BabConfig(sample_count=0, enum_threshold=0,
+                                   min_box_width=4.0))
+        assert res.status == Status.UNKNOWN
+        assert res.stats["reason"] == "1 nodes hit the minimum box width"
+        assert (res.stats["nodes"], res.stats["lp_calls"]) == (1, 0)
+        assert res.stats["root_unstable"] == 2
+        # with room to split, the same search decides it
+        assert verify_bab(abs_net(), prop).status == Status.FALSIFIED
+
+
 def fm_system(rng):
     """A seeded random system of 1 to 3 variables for the FM oracles: rows
     of small rationals, some repeated at a positive scale, some all zero."""
