@@ -9,9 +9,8 @@ import argparse
 import json
 import sys
 
-from .config import (ConfigError, _from_signature, _read, bab_config_from,
-                     dataset_from, int_list, training_config_from,
-                     validate_keys)
+from .config import (ConfigError, _from_signature, bab_config_from,
+                     dataset_from, training_config_from, validate_keys)
 from .datasets import Dataset
 from .experiment import robustness_queries, run_experiment
 from .model_io import atomic_write_text, load_model, save_model
@@ -19,7 +18,7 @@ from .network import network_stats
 from .properties import emit_smtlib, parse_smtlib
 from .pruning import PruningConfig, prune_pipeline
 from .repair import RepairConfig, repair
-from .tensor import as_float, as_int
+from .tensor import as_declared, as_float, as_int
 from .training import evaluate, init_network, train
 from .verifier import (LPUndecidedError, SpuriousWitnessError, Status,
                        verify_bab)
@@ -67,15 +66,17 @@ def cmd_train(args) -> int:
         if len(net_spec) > 1:
             raise ConfigError("config.net: 'model' takes no other key, got "
                               f"{sorted(net_spec)}")
-        net = load_model(net_spec["model"])
+        net = load_model(as_declared(net_spec["model"], str,
+                                     "config.net.model"))
     else:
-        hidden = int_list(net_spec.get("hidden", [16]), "config.net.hidden")
-        with_bn = _read(net_spec.get("with_bn", True), bool,
-                        "config.net.with_bn")
-        net = init_network(
-            [dataset.input_dim] + hidden + [dataset.num_classes],
-            seed=as_int(net_spec.get("init_seed", 0), "config.net.init_seed"),
-            with_bn=with_bn, name=str(net_spec.get("name", "net")))
+        hidden, with_bn, seed, name = (
+            as_declared(net_spec.get(key, default), kind, f"config.net.{key}")
+            for key, kind, default in (("hidden", list[int], [16]),
+                                       ("with_bn", bool, True),
+                                       ("init_seed", int, 0),
+                                       ("name", str, "net")))
+        net = init_network([dataset.input_dim, *hidden, dataset.num_classes],
+                           seed=seed, with_bn=with_bn, name=name)
     train_cfg = training_config_from(
         _override(config.get("train", {}), seed=args.seed), "config.train")
     trained, metrics = train(net, dataset, train_cfg)
@@ -90,6 +91,8 @@ def cmd_prune(args) -> int:
     method = {"wp": "weight_pruning", "ns": "network_slimming"}[args.method]
     config = _load_config(args.config) if args.config else {}
     validate_keys(config, ("dataset", "fine_tune"), "config")
+    if "fine_tune" in config and "dataset" not in config:
+        raise ConfigError("config: 'fine_tune' needs a 'dataset' section")
     dataset = (dataset_from(config["dataset"]) if "dataset" in config
                else Dataset(net.input_dim, net.output_dim))
     prune_cfg = PruningConfig(
@@ -168,7 +171,10 @@ def cmd_repair(args) -> int:
                   "config.queries")
     if "indices" in queries_spec:
         context = "config.queries.indices"
-        indices = int_list(queries_spec["indices"], context)
+        indices = as_declared(queries_spec["indices"], list[int], context)
+        if "count" in queries_spec:
+            raise ConfigError("config.queries: give 'count' or 'indices', "
+                              "not both")
     else:
         context = "config.queries.count"
         indices = range(as_int(queries_spec.get("count", 1), context))

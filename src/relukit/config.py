@@ -6,10 +6,9 @@ loudly before any work starts.
 
 import functools
 import inspect
-import typing
 
 from .datasets import Dataset, load_idx_dataset, synth_blobs
-from .tensor import as_float, as_int
+from .tensor import as_declared, as_int
 from .training import TrainingConfig
 from .verifier import BabConfig
 
@@ -31,40 +30,16 @@ def validate_keys(obj: dict, allowed, context: str, required=()) -> None:
             raise ConfigError(f"{context}: {problem} keys {sorted(keys)}")
 
 
-def int_list(value, name: str) -> list:
-    """value, a JSON array, as a list of ints; ConfigError naming `name` when
-    it is not an array, as_int's ValueError when an element is no integer."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list of integers, got {value!r}")
-    return [as_int(v, name) for v in value]
-
-
-def _read(value, kind, name: str):
-    """value read by its parameter's annotation `kind`: an int by as_int, a
-    float checked by as_float (so a 10 stays 10 in the documents that echo
-    it), a bool as JSON true or false only, any other kind as it is."""
-    kinds = typing.get_args(kind) or (kind,)  # Optional[float]: float, None
-    if value is None and type(None) in kinds:
-        return None
-    if int in kinds:
-        return as_int(value, name)
-    if float in kinds:
-        as_float(value, name)
-    elif bool in kinds and not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-    return value
-
-
 def _from_signature(fn, obj: dict, context: str, **fixed):
     """fn(**obj, **fixed), where obj gives fn's other parameters (those with
-    no default are required), each _read by its annotation. A bad key or
-    value, or fn's TypeError or ValueError, is a ConfigError naming context."""
+    no default are required), each read by as_declared. A bad key or value,
+    or fn's TypeError or ValueError, is a ConfigError naming context."""
     params = {k: p for k, p in inspect.signature(fn).parameters.items()
               if k not in fixed}
     validate_keys(obj, params, context,
                   [k for k, p in params.items() if p.default is p.empty])
     try:
-        return fn(**{k: _read(v, params[k].annotation, k)
+        return fn(**{k: as_declared(v, params[k].annotation, k)
                      for k, v in obj.items()}, **fixed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc

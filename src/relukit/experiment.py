@@ -12,12 +12,11 @@ import time
 import numpy as np
 
 from .config import (ConfigError, _from_signature, bab_config_from,
-                     dataset_from, int_list, training_config_from,
-                     validate_keys)
+                     dataset_from, training_config_from, validate_keys)
 from .network import network_stats
 from .properties import Box, robustness_property
 from .pruning import PruningConfig, prune_pipeline
-from .tensor import as_float, as_int
+from .tensor import as_declared, as_float, as_int
 from .training import evaluate, init_network, train
 from .verifier import Status, _solver, verify_bab
 
@@ -79,7 +78,7 @@ def run_experiment(config: dict) -> dict:
                   "experiment config", required)
     seed = as_int(config.get("seed", 0), "seed")
     dataset = dataset_from(config["dataset"])
-    hidden = int_list(config["hidden"], "hidden")
+    hidden = as_declared(config["hidden"], list[int], "hidden")
     widths = [dataset.input_dim] + hidden + [dataset.num_classes]
 
     base_cfg = training_config_from(config["baseline_train"], "baseline_train")

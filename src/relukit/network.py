@@ -223,6 +223,7 @@ def fold_batchnorm(net: SequentialNetwork) -> SequentialNetwork:
     """Fuse every FC-BN pair into one FC node; function is preserved.
 
     With s = gamma / sqrt(var + eps): W' = diag(s) W, b' = s * (b - mean) + beta.
+    ValueError naming the batch-norm node when W' or b' is not finite.
     """
     _require_valid(net)
     folded: list[LayerNode] = []
@@ -232,11 +233,16 @@ def fold_batchnorm(net: SequentialNetwork) -> SequentialNetwork:
         if (isinstance(node, FullyConnectedNode) and i + 1 < len(net.nodes)
                 and isinstance(net.nodes[i + 1], BatchNorm1DNode)):
             bn = net.nodes[i + 1]
-            s = bn.scale()
-            folded.append(FullyConnectedNode(
-                s[:, None] * node.weights,
-                s * (node.bias - bn.running_mean) + bn.beta,
-            ))
+            # an overflow here is raised below as a ValueError
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = bn.scale()
+                fc = FullyConnectedNode(
+                    s[:, None] * node.weights,
+                    s * (node.bias - bn.running_mean) + bn.beta)
+            if not all(np.isfinite(a).all() for a in _params(fc)):
+                raise ValueError(f"folding the batch norm at node {i + 1} "
+                                 "gives non-finite parameters")
+            folded.append(fc)
             i += 2
         else:
             folded.append(node.copy())

@@ -14,6 +14,7 @@ from .datasets import Dataset
 from .network import (BatchNorm1DNode, FullyConnectedNode, ReLUNode,
                       SequentialNetwork, _require_valid, network_stats,
                       validate)
+from .tensor import check_fields
 from .training import TrainingConfig, evaluate, train
 
 __all__ = ["PruningConfig", "weight_prune", "select_slim_targets",
@@ -28,6 +29,7 @@ class PruningConfig:
     fine_tune: Optional[TrainingConfig] = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.method not in ("weight_pruning", "network_slimming"):
             raise ValueError(f"unknown pruning method {self.method!r}")
         if self.method == "weight_pruning":

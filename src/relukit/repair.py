@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 from .datasets import Dataset, Sample
 from .network import BatchNorm1DNode, SequentialNetwork, network_stats
-from .tensor import require_int
+from .tensor import check_fields
 from .training import TrainingConfig, evaluate, init_network, train
 from .verifier import BabConfig, Status, falsify_sample, verify_bab
 
@@ -21,11 +21,7 @@ class RepairConfig:
     from_scratch: bool = False
 
     def __post_init__(self):
-        require_int(self, "max_iterations",
-                    "counterexamples_per_property_per_round")
-        if not isinstance(self.from_scratch, bool):
-            raise ValueError(f"from_scratch must be true or false, got "
-                             f"{self.from_scratch!r}")
+        check_fields(self)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.counterexamples_per_property_per_round < 1:

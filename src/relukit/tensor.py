@@ -1,11 +1,13 @@
-"""Array coercion and shape/finiteness checks shared by every module.
+"""Array coercion, shape/finiteness checks and config value typing.
 
 All numeric data is float64 numpy, row-major. W[i][j] is the weight from
 input j to output neuron i.
 """
 
+import dataclasses
 import math
 import numbers
+from typing import Union, get_args, get_origin
 
 import numpy as np
 
@@ -17,7 +19,8 @@ __all__ = [
     "check_finite",
     "as_int",
     "as_float",
-    "require_int",
+    "as_declared",
+    "check_fields",
 ]
 
 
@@ -63,13 +66,39 @@ def as_float(value, name: str) -> float:
     """value as a float; ValueError naming `name` unless a finite non-bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 
-def require_int(owner, *names) -> None:
-    """Raise ValueError naming the first field of `owner` in `names` whose
-    value is not an integer (see as_int)."""
-    for name in names:
-        as_int(getattr(owner, name), name)
+def as_declared(value, kind, name: str):
+    """value read by its declared type `kind`, ValueError naming `name`: an
+    int by as_int, a float checked by as_float and returned as given (an
+    echoed 10 stays 10), a bool, str or list[int] (each element by as_int)
+    only as one. Optional[...] also takes None; other kinds pass through."""
+    kinds = get_args(kind) if get_origin(kind) is Union else (kind,)
+    if value is None and type(None) in kinds:
+        return None
+    if int in kinds:
+        return as_int(value, name)
+    if float in kinds:
+        as_float(value, name)
+    elif bool in kinds and not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    elif str in kinds and not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    elif list[int] in kinds and not isinstance(value, list):
+        raise ValueError(f"{name} must be a list of integers, got {value!r}")
+    elif list[int] in kinds:
+        return [as_int(v, name) for v in value]
+    return value
+
+
+def check_fields(obj) -> None:
+    """as_declared on every field of the dataclass instance obj."""
+    for f in dataclasses.fields(obj):
+        as_declared(getattr(obj, f.name), f.type, f.name)

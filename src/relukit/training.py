@@ -17,14 +17,10 @@ import numpy as np
 from .datasets import Dataset, Split
 from .network import (BatchNorm1DNode, FullyConnectedNode, ReLUNode,
                       SequentialNetwork, _require_valid, forward_batch)
-from .tensor import NonFiniteError, as_float, require_int
+from .tensor import NonFiniteError, check_fields
 
 __all__ = ["TrainingConfig", "AdamState", "init_network", "loss_and_grads",
            "adam_step", "train", "evaluate"]
-
-
-_FLOAT_FIELDS = ("learning_rate", "beta1", "beta2", "adam_eps", "l2_lambda",
-                 "slim_lambda", "bn_momentum")
 
 
 @dataclass
@@ -41,9 +37,7 @@ class TrainingConfig:
     bn_momentum: float = 0.1
 
     def __post_init__(self):
-        require_int(self, "batch_size", "epochs", "seed")
-        for name in _FLOAT_FIELDS:
-            as_float(getattr(self, name), name)
+        check_fields(self)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):

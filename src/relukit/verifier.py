@@ -21,7 +21,7 @@ from .network import (FullyConnectedNode, ReLUNode, SequentialNetwork,
                       forward_batch)
 from .properties import (Box, Property, satisfies_disjunct,
                          violated_disjunct)
-from .tensor import require_int
+from .tensor import check_fields
 
 __all__ = ["Status", "Counterexample", "VerificationResult", "BabConfig",
            "interval_forward", "verify_bab", "check_pattern",
@@ -89,8 +89,7 @@ class BabConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_int(self, "max_nodes", "enum_threshold", "sample_count",
-                    "seed")
+        check_fields(self)
         for name, ok, rule in (
                 ("max_nodes", self.max_nodes >= 1, ">= 1"),
                 ("enum_threshold", self.enum_threshold >= 0, ">= 0"),

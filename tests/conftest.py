@@ -28,3 +28,14 @@ def random_net(widths, seed=0, with_bn=True, scale=1.0):
                     rng.uniform(0.5, 1.5, size=d_out), 1e-5))
             nodes.append(ReLUNode(d_out))
     return SequentialNetwork(f"rand-{seed}", widths[0], nodes)
+
+
+def overflowing_fold_net():
+    """A valid net whose batch-norm fold overflows: the scale 1e10 /
+    sqrt(1e-300) = 1e160 times the weight 1e160 is inf."""
+    return SequentialNetwork("overflow", 2, [
+        FullyConnectedNode([[1e160, 1.0], [1.0, -1.0]], [0.0, 0.0]),
+        BatchNorm1DNode([1e10, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                        eps=1e-300),
+        ReLUNode(2),
+        FullyConnectedNode(np.eye(2), [0.0, 0.0])])

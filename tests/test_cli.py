@@ -6,10 +6,12 @@ import re
 import numpy as np
 import pytest
 
+from conftest import overflowing_fold_net
 from relukit.cli import main
 from relukit.datasets import synth_blobs
 from relukit.experiment import robustness_queries
 from relukit.model_io import load_model, save_model
+from relukit.properties import Box, emit_smtlib, robustness_property
 from relukit.repair import RepairConfig
 from relukit.training import TrainingConfig, init_network, train
 from relukit.verifier import BabConfig, root_unstable_count, verify_bab
@@ -192,6 +194,31 @@ class TestTrain:
                 f"{hidden!r}" in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("net_spec,shown", [
+        ({"hidden": [4], "name": None},
+         "config.net.name must be a string, got None"),
+        ({"hidden": [4], "name": 5}, "config.net.name must be a string, got 5"),
+        ({"model": 5}, "config.net.model must be a string, got 5")],
+        ids=["name-null", "name-number", "model-number"])
+    def test_non_string_net_field_exits_three(self, tmp_path, net_spec, shown,
+                                              capsys):
+        cfg = write_json(tmp_path / "train.json", {
+            "dataset": SYNTH, "net": net_spec, "train": {"epochs": 1}})
+        out = tmp_path / "m.json"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 3
+        assert shown in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_number_beyond_the_floats_exits_three(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "train.json", {
+            "dataset": SYNTH, "net": {"hidden": [4]},
+            "train": {"epochs": 1, "learning_rate": 10 ** 400}})
+        out = tmp_path / "m.json"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 3
+        assert "config.train: learning_rate must be finite, got 1000" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPrune:
     def test_wp_zero_threshold_identity(self, tmp_path, trained_model):
@@ -224,6 +251,17 @@ class TestPrune:
                      "--method", "wp", "--ratio", "0.5",
                      "--config", cfg]) == 3
         assert "config: unknown keys ['pre_train']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fine_tune_without_dataset_exits_three(self, tmp_path,
+                                                   trained_model, capsys):
+        cfg = write_json(tmp_path / "prune.json", {"fine_tune": {"epochs": 2}})
+        out = tmp_path / "pruned.json"
+        assert main(["prune", "--model", trained_model, "--out", str(out),
+                     "--method", "wp", "--ratio", "0.5",
+                     "--config", cfg]) == 3
+        assert "config: 'fine_tune' needs a 'dataset' section" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_method_flag(self, tmp_path, trained_model):
@@ -358,6 +396,30 @@ class TestVerify:
         assert f"{flag} has no effect with --property" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_overflowing_fold_exits_three(self, tmp_path, label, capsys):
+        model = tmp_path / "overflow.json"
+        save_model(overflowing_fold_net(), str(model))
+        prop = tmp_path / "prop.smt2"
+        prop.write_text(emit_smtlib(robustness_property(
+            [0.5, 0.5], label, 0.1, Box(np.zeros(2), np.ones(2)), 2)))
+        out = tmp_path / "result.json"
+        assert main(["verify", "--model", str(model), "--property",
+                     str(prop), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "folding the batch norm at node 1 gives non-finite " \
+            "parameters" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_malformed_property_exits_three(self, tmp_path, trained_model,
+                                            capsys):
+        prop = tmp_path / "prop.smt2"
+        prop.write_text("(declare-const X_0 Real)\n(push 1)\n")
+        assert main(["verify", "--model", trained_model, "--property",
+                     str(prop)]) == 3
+        assert "line 2, col 2: unsupported command 'push'" in \
+            capsys.readouterr().err
+
     def test_root_only(self, trained_model, train_cfg, capsys):
         assert main(["verify", "--model", trained_model, "--robustness",
                      "--config", train_cfg, "--sample-index", "0",
@@ -412,6 +474,18 @@ class TestRepairCommand:
         assert main(["repair", "--model", trained_model, "--config", cfg,
                      "--out", str(tmp_path / "repaired.json")]) == 3
         assert message in capsys.readouterr().err
+
+    def test_count_with_indices_exits_three(self, tmp_path, trained_model,
+                                            capsys):
+        cfg = write_json(tmp_path / "repair.json", {
+            "dataset": SYNTH, "queries": {"count": 2, "indices": [0, 1]},
+            "repair": {"max_iterations": 1}})
+        out = tmp_path / "repaired.json"
+        assert main(["repair", "--model", trained_model, "--config", cfg,
+                     "--out", str(out)]) == 3
+        assert "config.queries: give 'count' or 'indices', not both" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("spec,shown", [
         ({"count": 2.5}, "config.queries.count must be an integer, got 2.5"),

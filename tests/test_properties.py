@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,73 @@ class TestParse:
                          "(assert (<= (+ Y_0 (* 0 X_0)) 2))")
         assert [a.coeffs.tolist() for a in p.violation[0]] == [[1.0, 1.0],
                                                                [1.0, 0.0]]
+
+
+# Declarations, and both bounds of X_0, for the malformed documents below.
+DECLS = "(declare-const X_0 Real)(declare-const Y_0 Real)\n"
+BOUNDS = "(assert (>= X_0 0.0))(assert (<= X_0 1.0))\n"
+
+
+class TestMalformedDocuments:
+    """Each error path of the parser, with its message and, where it has
+    one, its position."""
+
+    @pytest.mark.parametrize("text,message", [
+        ("(declare-const Y_0 Real)\n(assert (<= X_0 1.0))",
+         "line 2, col 13: undeclared variable X_0"),
+        (DECLS + "(assert (<= () 1.0))", "empty term"),
+        (DECLS + BOUNDS + "(assert (<= (* Y_0 Y_0) 1.0))",
+         "line 3, col 14: nonlinear product of variables"),
+        (DECLS + BOUNDS + "(assert (<= (/ Y_0 2.0) 1.0))",
+         "line 3, col 14: unsupported term operator '/'"),
+        (DECLS + BOUNDS + "(assert (<= (- Y_0 1.0 2.0) 1.0))",
+         "line 3, col 14: '-' takes one or two arguments"),
+        (DECLS + BOUNDS + "(assert (<= (* Y_0) 1.0))",
+         "line 3, col 14: '*' takes exactly two arguments"),
+        (DECLS + BOUNDS + "(assert (<= ((Y_0)) 1.0))",
+         "line 3, col 15: expected an operator"),
+        (DECLS + BOUNDS + "(assert (not (<= Y_0 1.0)))",
+         "line 3, col 10: unsupported formula operator 'not'"),
+        (DECLS + BOUNDS + "(assert Y_0)", "line 3, col 9: expected a formula"),
+        (DECLS + BOUNDS + "(assert ())", "expected a formula"),
+        (DECLS + BOUNDS + "(assert ((<= Y_0 1.0)))",
+         "line 3, col 11: expected a formula operator"),
+        (DECLS + BOUNDS + "(assert (and))",
+         "line 3, col 10: 'and' needs at least one argument"),
+        (DECLS + BOUNDS + "(assert (<= Y_0))",
+         "line 3, col 10: '<=' takes exactly two arguments"),
+        (DECLS + BOUNDS + "(assert (or (<= Y_0 1.0) (<= X_0 1.0)))",
+         "line 3, col 14: assertion mixes input and output variables"),
+        ("(declare-const X_0 Int)", "line 1, col 20: unsupported sort 'Int'"),
+        ("(declare-const X_0)",
+         "line 1, col 2: declare-const takes a name and a sort"),
+        (DECLS + "(push 1)", "line 2, col 2: unsupported command 'push'"),
+        (DECLS + "check-sat",
+         "line 2, col 1: unexpected top-level token 'check-sat'"),
+        (DECLS + "(())", "expected a command"),
+        (DECLS + "(assert (<= Y_0 1.0) (<= Y_0 2.0))",
+         "line 2, col 2: assert takes exactly one formula"),
+        ("(declare-const Y_0 Real)\n(assert (>= Y_0 0.5))",
+         "need at least one X_<i> and one Y_<j> constant"),
+        ("(declare-const X_0 Real)\n" + BOUNDS,
+         "need at least one X_<i> and one Y_<j> constant"),
+        ("(declare-const X_0 Real)(declare-const X_2 Real)"
+         "(declare-const Y_0 Real)\n" + BOUNDS,
+         "X indices must be contiguous from 0"),
+        ("(declare-const X_0 Real)(declare-const Y_1 Real)\n" + BOUNDS,
+         "Y indices must be contiguous from 0"),
+        (DECLS + BOUNDS, "no output assertion (violation condition)")],
+        ids=["undeclared-variable", "empty-term", "nonlinear-product",
+             "term-operator", "minus-arity", "times-arity", "term-no-operator",
+             "formula-operator", "formula-atom", "formula-empty",
+             "formula-no-operator", "and-empty", "relation-arity",
+             "assertion-mixes", "sort", "declare-arity", "command",
+             "top-level-token", "no-command", "assert-arity", "no-x",
+             "no-y", "x-gap", "y-gap", "no-output"])
+    def test_raises_with_message_and_position(self, text, message):
+        with pytest.raises(PropertyParseError,
+                           match=f"^{re.escape(message)}$"):
+            parse_smtlib(text)
 
 
 def _assert_parses_to(text, lo, hi, violation):

@@ -248,6 +248,29 @@ class TestTrainingConfig:
                            match=f"{field} must be finite, got {value!r}"):
             TrainingConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("learning_rate", 0.0, "learning_rate must be positive"),
+        ("learning_rate", -0.1, "learning_rate must be positive"),
+        ("beta1", 0.0, "beta1/beta2 must lie in (0, 1)"),
+        ("beta1", 1.0, "beta1/beta2 must lie in (0, 1)"),
+        ("beta2", 1.0, "beta1/beta2 must lie in (0, 1)"),
+        ("adam_eps", 0.0, "adam_eps must be positive"),
+        ("l2_lambda", -1e-3, "regularization weights must be nonnegative"),
+        ("slim_lambda", -1e-3, "regularization weights must be nonnegative"),
+        ("batch_size", 0, "batch_size must be positive"),
+        ("epochs", -1, "epochs must be nonnegative"),
+        ("bn_momentum", 0.0, "bn_momentum must lie in (0, 1]"),
+        ("bn_momentum", 1.5, "bn_momentum must lie in (0, 1]")])
+    def test_out_of_range_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainingConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("l2_lambda", 0.0), ("slim_lambda", 0.0), ("batch_size", 1),
+        ("epochs", 0), ("bn_momentum", 1.0)])
+    def test_range_ends_accepted(self, field, value):
+        assert getattr(TrainingConfig(**{field: value}), field) == value
+
 
 class TestTrain:
     def test_zero_epochs_is_identity(self):

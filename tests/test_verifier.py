@@ -11,14 +11,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import random_net
+from conftest import overflowing_fold_net, random_net
 from oracles import (enumerated_pattern_verdict, exact_pattern_verdict,
                      fm_feasible, reference_bound, reference_fm_feasible,
                      relu_relaxation)
 from relukit import verifier
 from relukit.datasets import synth_blobs
 from relukit.network import (FullyConnectedNode, ReLUNode, SequentialNetwork,
-                             fold_batchnorm, forward, forward_batch)
+                             fold_batchnorm, forward, forward_batch, validate)
 from relukit.properties import (Box, LinearAtom, Property,
                                 robustness_property, satisfies_disjunct,
                                 violated_disjunct)
@@ -1630,3 +1630,33 @@ class TestLeanImport:
                               env={**os.environ, "PYTHONPATH": src})
         assert done.returncode == 0, done.stderr
         assert done.stdout.endswith("lean\n")
+
+
+class TestOverflowingFold:
+    """A valid net whose fold holds an inf weight. Bounding that fold gives
+    inf/nan bounds, which refuted label 0's disjunct (a Verified no sample
+    checked), and sampling it raises NonFiniteError; so every entry point
+    rejects the net before either."""
+
+    FOLD_ERROR = "folding the batch norm at node 1 gives non-finite parameters"
+
+    def test_the_net_is_valid_but_its_fold_raises(self):
+        net = overflowing_fold_net()
+        assert validate(net) == []
+        with pytest.raises(ValueError, match=self.FOLD_ERROR):
+            fold_batchnorm(net)
+
+    @pytest.mark.parametrize("label", [0, 1])
+    @pytest.mark.parametrize("entry", [
+        lambda net, prop: verify_bab(net, prop),
+        lambda net, prop: verify_bab(net, prop, ROOT_ONLY),
+        lambda net, prop: falsify_sample(net, prop, 16),
+        lambda net, prop: root_unstable_count(net, prop.input_box),
+        lambda net, prop: interval_forward(net, prop.input_box)],
+        ids=["verify_bab", "root_only", "falsify_sample",
+             "root_unstable_count", "interval_forward"])
+    def test_every_entry_point_raises(self, entry, label):
+        prop = robustness_property([0.5, 0.5], label, 0.1,
+                                   Box(np.zeros(2), np.ones(2)), 2)
+        with pytest.raises(ValueError, match=self.FOLD_ERROR):
+            entry(overflowing_fold_net(), prop)
