@@ -6,6 +6,7 @@ loudly before any work starts.
 
 import functools
 import inspect
+import os
 
 from .datasets import Dataset, load_idx_dataset, synth_blobs
 from .tensor import as_declared, as_int
@@ -61,8 +62,11 @@ def dataset_from(obj: dict, context: str = "dataset") -> Dataset:
         return _from_signature(synth_blobs, obj["synth"], f"{context}.synth")
     spec = obj["idx"]
     validate_keys(spec, _IDX_KEYS, f"{context}.idx", _IDX_KEYS)
-    ds = load_idx_dataset(spec["train_images"], spec["train_labels"],
-                          spec["test_images"], spec["test_labels"])
+    for key in _IDX_KEYS[:4]:  # an int would be opened as a file descriptor
+        if not isinstance(spec[key], (str, os.PathLike)):
+            raise ConfigError(f"{context}.idx.{key} must be a path, "
+                              f"got {spec[key]!r}")
+    ds = load_idx_dataset(*(spec[key] for key in _IDX_KEYS[:4]))
     declared = tuple(as_int(spec[key], f"{context}.idx.{key}")
                      for key in ("input_dim", "num_classes"))
     if declared != (ds.input_dim, ds.num_classes):

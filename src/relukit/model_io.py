@@ -3,9 +3,12 @@
 import json
 import os
 import tempfile
+from dataclasses import fields
+
+import numpy as np
 
 from .network import (BatchNorm1DNode, FullyConnectedNode, ReLUNode,
-                      SequentialNetwork, validate)
+                      SequentialNetwork, _node_dims, validate)
 from .tensor import as_int
 
 __all__ = ["FORMAT_VERSION", "ModelFormatError", "save_model", "load_model",
@@ -18,32 +21,32 @@ class ModelFormatError(ValueError):
     """Malformed or unsupported model document."""
 
 
+# The document's kind of each node class; a layer record holds its kind,
+# its sizes (_sizes) and then each field of its node class, in field order.
+_KINDS = {"fully_connected": FullyConnectedNode,
+          "batch_norm_1d": BatchNorm1DNode, "relu": ReLUNode}
+
+
+def _sizes(node) -> dict:
+    d_in, d_out = _node_dims(node)
+    if isinstance(node, FullyConnectedNode):
+        return {"in": d_in, "out": d_out}
+    return {"dim": d_in}
+
+
 def network_to_document(net: SequentialNetwork) -> dict:
     errors = validate(net)
     if errors:
         raise ValueError("refusing to save invalid network: " + "; ".join(errors))
+    kind_of = {cls: kind for kind, cls in _KINDS.items()}
     layers = []
     for node in net.nodes:
-        if isinstance(node, FullyConnectedNode):
-            layers.append({
-                "kind": "fully_connected",
-                "in": node.in_dim,
-                "out": node.out_dim,
-                "weights": node.weights.tolist(),
-                "bias": node.bias.tolist(),
-            })
-        elif isinstance(node, BatchNorm1DNode):
-            layers.append({
-                "kind": "batch_norm_1d",
-                "dim": node.dim,
-                "gamma": node.gamma.tolist(),
-                "beta": node.beta.tolist(),
-                "running_mean": node.running_mean.tolist(),
-                "running_var": node.running_var.tolist(),
-                "eps": node.eps,
-            })
-        else:
-            layers.append({"kind": "relu", "dim": node.dim})
+        record = {"kind": kind_of[type(node)], **_sizes(node)}
+        for f in fields(node):
+            value = getattr(node, f.name)
+            record[f.name] = (value.tolist() if isinstance(value, np.ndarray)
+                              else value)
+        layers.append(record)
     return {
         "format_version": FORMAT_VERSION,
         "name": net.name,
@@ -52,15 +55,27 @@ def network_to_document(net: SequentialNetwork) -> dict:
     }
 
 
-def _field(record: dict, key: str, index: int):
+def _field(record: dict, key: str):
     if key not in record:
-        raise ModelFormatError(f"layer {index}: missing field '{key}'")
+        raise ModelFormatError(f"missing field '{key}'")
     return record[key]
 
 
-def _size(record: dict, key: str, index: int) -> int:
-    """A layer's size field; ValueError naming it when not an integer."""
-    return as_int(_field(record, key, index), key)
+def _read_layer(record):
+    """The node a layer record describes; ValueError when it is malformed."""
+    if not isinstance(record, dict):
+        raise ModelFormatError("expected an object")
+    kind = _field(record, "kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ModelFormatError(f"unknown layer kind {kind!r}")
+    cls = _KINDS[kind]
+    node = cls(**{f.name: _field(record, f.name) for f in fields(cls)})
+    sizes = _sizes(node)
+    declared = {key: as_int(_field(record, key), key) for key in sizes}
+    if declared != sizes:
+        raise ModelFormatError(f"declared dims {declared} do not match "
+                               f"the arrays' {sizes}")
+    return node
 
 
 def document_to_network(doc: dict) -> SequentialNetwork:
@@ -72,41 +87,18 @@ def document_to_network(doc: dict) -> SequentialNetwork:
     for key in ("name", "input_dim", "layers"):
         if key not in doc:
             raise ModelFormatError(f"missing top-level field '{key}'")
+    if not isinstance(doc["layers"], list):
+        raise ModelFormatError("layers must be a list")
     nodes = []
     for i, record in enumerate(doc["layers"]):
-        kind = _field(record, "kind", i)
         try:
-            if kind == "fully_connected":
-                node = FullyConnectedNode(_field(record, "weights", i),
-                                          _field(record, "bias", i))
-                if node.in_dim != _size(record, "in", i) or \
-                        node.out_dim != _size(record, "out", i):
-                    raise ModelFormatError(
-                        f"layer {i}: declared dims ({record['in']}, {record['out']}) "
-                        f"do not match weights shape {node.weights.shape}")
-            elif kind == "batch_norm_1d":
-                node = BatchNorm1DNode(
-                    _field(record, "gamma", i), _field(record, "beta", i),
-                    _field(record, "running_mean", i),
-                    _field(record, "running_var", i), _field(record, "eps", i))
-                if node.dim != _size(record, "dim", i):
-                    raise ModelFormatError(
-                        f"layer {i}: declared dim {record['dim']} does not match "
-                        f"gamma length {node.dim}")
-            elif kind == "relu":
-                node = ReLUNode(_size(record, "dim", i))
-            else:
-                raise ModelFormatError(f"layer {i}: unknown layer kind {kind!r}")
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ModelFormatError):
-                raise
+            nodes.append(_read_layer(record))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"layer {i}: {exc}") from exc
-        nodes.append(node)
     try:
-        input_dim = as_int(doc["input_dim"], "input_dim")
+        net = SequentialNetwork(doc["name"], doc["input_dim"], nodes)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
-    net = SequentialNetwork(str(doc["name"]), input_dim, nodes)
     errors = validate(net)
     if errors:
         raise ModelFormatError("document decodes to an invalid network: "

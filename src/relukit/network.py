@@ -5,11 +5,12 @@ optionally followed by 1-D batch norm and then ReLU, ending in a bare
 fully-connected output layer (no activation after it).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .tensor import ShapeMismatchError, as_matrix, as_vector, check_finite
+from .tensor import (ShapeMismatchError, as_matrix, as_vector, check_fields,
+                     check_finite)
 
 __all__ = [
     "FullyConnectedNode",
@@ -30,8 +31,8 @@ class FullyConnectedNode:
     bias: np.ndarray     # (out_dim,)
 
     def __post_init__(self):
-        self.weights = as_matrix(self.weights)
-        self.bias = as_vector(self.bias)
+        self.weights = as_matrix(self.weights, "weights")
+        self.bias = as_vector(self.bias, "bias")
 
     @property
     def in_dim(self) -> int:
@@ -40,9 +41,6 @@ class FullyConnectedNode:
     @property
     def out_dim(self) -> int:
         return self.weights.shape[0]
-
-    def copy(self) -> "FullyConnectedNode":
-        return FullyConnectedNode(self.weights.copy(), self.bias.copy())
 
 
 @dataclass
@@ -54,10 +52,9 @@ class BatchNorm1DNode:
     eps: float = 1e-5
 
     def __post_init__(self):
-        self.gamma = as_vector(self.gamma)
-        self.beta = as_vector(self.beta)
-        self.running_mean = as_vector(self.running_mean)
-        self.running_var = as_vector(self.running_var)
+        for name in _ARRAYS[BatchNorm1DNode]:
+            setattr(self, name, as_vector(getattr(self, name), name))
+        check_fields(self)
         self.eps = float(self.eps)
 
     @property
@@ -68,22 +65,39 @@ class BatchNorm1DNode:
         """Inference-mode multiplier gamma / sqrt(var + eps)."""
         return self.gamma / np.sqrt(self.running_var + self.eps)
 
-    def copy(self) -> "BatchNorm1DNode":
-        return BatchNorm1DNode(
-            self.gamma.copy(), self.beta.copy(),
-            self.running_mean.copy(), self.running_var.copy(), self.eps,
-        )
-
 
 @dataclass
 class ReLUNode:
     dim: int
 
-    def copy(self) -> "ReLUNode":
-        return ReLUNode(self.dim)
+    def __post_init__(self):
+        check_fields(self)
 
 
 LayerNode = FullyConnectedNode | BatchNorm1DNode | ReLUNode
+
+# Each layer kind is declared by its fields: those annotated np.ndarray are
+# its parameter arrays, in field order; the others are typed by
+# check_fields.
+_ARRAYS = {kind: tuple(f.name for f in fields(kind) if f.type is np.ndarray)
+           for kind in (FullyConnectedNode, BatchNorm1DNode, ReLUNode)}
+_SCALARS = {kind: tuple(f.name for f in fields(kind)
+                        if f.name not in _ARRAYS[kind]) for kind in _ARRAYS}
+
+
+def _params(node: LayerNode) -> tuple:
+    """node's parameter arrays, in field order."""
+    return tuple(getattr(node, name) for name in _ARRAYS[type(node)])
+
+
+def _copy_node(node: LayerNode, fn=np.ndarray.copy) -> LayerNode:
+    """A copy of node with each parameter array a replaced by fn(a), by
+    default a copy of a."""
+    out = object.__new__(type(node))
+    out.__dict__.update(node.__dict__)
+    for name in _ARRAYS[type(node)]:
+        setattr(out, name, fn(getattr(node, name)))
+    return out
 
 
 @dataclass
@@ -91,6 +105,9 @@ class SequentialNetwork:
     name: str
     input_dim: int
     nodes: list = field(default_factory=list)
+
+    def __post_init__(self):
+        check_fields(self)
 
     @property
     def output_dim(self) -> int:
@@ -100,25 +117,15 @@ class SequentialNetwork:
         return last.out_dim if isinstance(last, FullyConnectedNode) else last.dim
 
     def copy(self) -> "SequentialNetwork":
+        """A copy that shares no array with self."""
         return SequentialNetwork(self.name, self.input_dim,
-                                 [n.copy() for n in self.nodes])
+                                 [_copy_node(n) for n in self.nodes])
 
 
 def _node_dims(node: LayerNode) -> tuple[int, int]:
     if isinstance(node, FullyConnectedNode):
         return node.in_dim, node.out_dim
     return node.dim, node.dim
-
-
-_BN_PARAMS = ("gamma", "beta", "running_mean", "running_var")
-
-
-def _params(node: LayerNode) -> tuple:
-    if isinstance(node, FullyConnectedNode):
-        return node.weights, node.bias
-    if isinstance(node, BatchNorm1DNode):  # in _BN_PARAMS order
-        return node.gamma, node.beta, node.running_mean, node.running_var
-    return ()
 
 
 def validate(net: SequentialNetwork) -> list[str]:
@@ -137,11 +144,10 @@ def validate(net: SequentialNetwork) -> list[str]:
             errors.append(f"dim mismatch at node {i}: expected input {cur}, got {d_in}")
         cur = d_out
         if isinstance(node, FullyConnectedNode):
-            if not (np.isfinite(node.weights).all()
-                    and np.isfinite(node.bias).all()):
+            if not all(np.isfinite(a).all() for a in _params(node)):
                 errors.append(f"non-finite parameters at node {i}")
         elif isinstance(node, BatchNorm1DNode):
-            for name, v in zip(_BN_PARAMS, _params(node)):
+            for name, v in zip(_ARRAYS[BatchNorm1DNode], _params(node)):
                 if v.shape[0] != node.dim:
                     errors.append(f"{name} length {v.shape[0]} != dim {node.dim} at node {i}")
                 if not np.isfinite(v).all():
@@ -245,7 +251,7 @@ def fold_batchnorm(net: SequentialNetwork) -> SequentialNetwork:
             folded.append(fc)
             i += 2
         else:
-            folded.append(node.copy())
+            folded.append(_copy_node(node))
             i += 1
     return SequentialNetwork(net.name, net.input_dim, folded)
 
@@ -257,12 +263,10 @@ def network_stats(net: SequentialNetwork) -> dict:
     params = 0
     num_layers = 0
     for node in net.nodes:
+        params += sum(a.size for a in _params(node))
         if isinstance(node, FullyConnectedNode):
             widths.append(node.out_dim)
-            params += node.weights.size + node.bias.size
             num_layers += 1
-        elif isinstance(node, BatchNorm1DNode):
-            params += 4 * node.dim
     return {
         "num_layers": num_layers,
         "input_dim": net.input_dim,

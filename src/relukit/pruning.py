@@ -12,8 +12,8 @@ import numpy as np
 
 from .datasets import Dataset
 from .network import (BatchNorm1DNode, FullyConnectedNode, ReLUNode,
-                      SequentialNetwork, _require_valid, network_stats,
-                      validate)
+                      SequentialNetwork, _copy_node, _require_valid,
+                      network_stats, validate)
 from .tensor import check_fields
 from .training import TrainingConfig, evaluate, train
 
@@ -120,18 +120,13 @@ def network_slim(net: SequentialNetwork, ratio: float) -> SequentialNetwork:
     out = net.copy()
     for bn_idx, keep in masks.items():
         # validate() fixes the canonical order FC, BN, ReLU, FC around bn_idx
-        fc, bn, next_fc = (out.nodes[bn_idx - 1], out.nodes[bn_idx],
-                           out.nodes[bn_idx + 2])
+        bn, next_fc = out.nodes[bn_idx], out.nodes[bn_idx + 2]
         dropped = np.flatnonzero(~keep)
         if dropped.size:
             constant_out = np.maximum(0.0, bn.beta[dropped])
             next_fc.bias = next_fc.bias + next_fc.weights[:, dropped] @ constant_out
-        fc.weights = fc.weights[keep]
-        fc.bias = fc.bias[keep]
-        bn.gamma = bn.gamma[keep]
-        bn.beta = bn.beta[keep]
-        bn.running_mean = bn.running_mean[keep]
-        bn.running_var = bn.running_var[keep]
+        for i in (bn_idx - 1, bn_idx):  # every array of the FC and the BN
+            out.nodes[i] = _copy_node(out.nodes[i], lambda a: a[keep])
         out.nodes[bn_idx + 1] = ReLUNode(int(keep.sum()))
         next_fc.weights = next_fc.weights[:, keep]
     errors = validate(out)

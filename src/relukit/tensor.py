@@ -32,18 +32,33 @@ class NonFiniteError(ArithmeticError):
     """A public operation produced NaN or Inf."""
 
 
-def as_vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeMismatchError(f"expected a 1-D vector, got shape {v.shape}")
-    return v
+def _as_numbers(x, ndim: int, shape: str, name: str) -> np.ndarray:
+    """x as a float64 array of ndim dimensions; ValueError naming `name`
+    when x is ragged or an entry is not a number (a string, None or a bool),
+    ShapeMismatchError for another ndim. OverflowError for an int beyond
+    the float range."""
+    try:
+        a = np.asarray(x)
+    except ValueError as exc:  # a ragged nest of lists
+        raise ValueError(f"{name} must be a {shape} of numbers, got a ragged "
+                         "list") from exc
+    if a.dtype.kind not in "iuf":
+        bad = [v for v in a.ravel().tolist() if type(v) not in (int, float)]
+        if bad or a.dtype.kind != "O":
+            raise ValueError(f"{name} must hold only numbers, found "
+                             f"{bad[0] if bad else a.dtype!r}")
+        a = a.astype(np.float64)  # holds an int beyond 64 bits
+    if a.ndim != ndim:
+        raise ShapeMismatchError(f"{name} must be a {shape}, got shape {a.shape}")
+    return a.astype(np.float64, copy=False)
 
 
-def as_matrix(w) -> np.ndarray:
-    m = np.asarray(w, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeMismatchError(f"expected a 2-D matrix, got shape {m.shape}")
-    return m
+def as_vector(x, name: str = "input") -> np.ndarray:
+    return _as_numbers(x, 1, "1-D vector", name)
+
+
+def as_matrix(w, name: str = "input") -> np.ndarray:
+    return _as_numbers(w, 2, "2-D matrix", name)
 
 
 def check_finite(arr: np.ndarray, context: str = "result") -> np.ndarray:

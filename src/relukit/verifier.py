@@ -16,9 +16,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .network import (FullyConnectedNode, ReLUNode, SequentialNetwork,
-                      _params, _require_valid, fold_batchnorm, forward,
-                      forward_batch)
+from .network import (_ARRAYS, _SCALARS, FullyConnectedNode, ReLUNode,
+                      SequentialNetwork, _require_valid, fold_batchnorm,
+                      forward, forward_batch)
 from .properties import (Box, Property, satisfies_disjunct,
                          violated_disjunct)
 from .tensor import check_fields
@@ -116,15 +116,14 @@ def _prepared(net: SequentialNetwork, box: Box = None,
     num_outputs is given and (box.dim, num_outputs) are not its dimensions.
 
     Each thread remembers the last valid net's fold and plan under its
-    content: name, input_dim, each node's type, eps and dim, and each
-    parameter array's shape, dtype and bytes (one joined copy). So the same
-    content is not validated, folded or planned again, and a change in place
-    is seen. Neither the fold nor the plan shares an array with a caller or
-    is mutated."""
-    arrays = [a for node in net.nodes for a in _params(node)]
-    key = (net.name, net.input_dim,
-           [(type(n), getattr(n, "eps", None), getattr(n, "dim", None))
-            for n in net.nodes],
+    content: name, input_dim, each node's type and other fields (eps, dim),
+    and each parameter array's shape, dtype and bytes (one joined copy). So
+    the same content is not validated, folded or planned again, and a change
+    in place is seen. Neither the fold nor the plan shares an array with a
+    caller or is mutated."""
+    arrays = [getattr(n, a) for n in net.nodes for a in _ARRAYS[type(n)]]
+    key = (net.name, net.input_dim, [type(n) for n in net.nodes],
+           [getattr(n, s) for n in net.nodes for s in _SCALARS[type(n)]],
            [(a.shape, a.dtype) for a in arrays],
            b"".join(a.tobytes() for a in arrays))
     memo = getattr(_thread, "prepared", None)

@@ -749,6 +749,20 @@ class TestEvalInfo:
         assert "input_dim must be an integer, got 2.9" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["train_images", "train_labels",
+                                     "test_images", "test_labels"])
+    def test_eval_idx_path_not_a_path_exits_three(self, trained_model,
+                                                  tmp_path, key, capsys):
+        # 0 was opened as a file descriptor: eval read standard input
+        idx = {k: str(tmp_path / k) for k in ("train_images", "train_labels",
+                                              "test_images", "test_labels")}
+        config = write_json(tmp_path / "c.json", {"dataset": {"idx": {
+            **idx, key: 0, "input_dim": 2, "num_classes": 2}}})
+        assert main(["eval", "--model", trained_model,
+                     "--config", config]) == 3
+        assert f"dataset.idx.{key} must be a path, got 0" in \
+            capsys.readouterr().err
+
 
 class TestExportSmtlib:
     def test_output_is_parseable(self, tmp_path, train_cfg):

@@ -1,5 +1,6 @@
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +162,20 @@ class TestIdxConfig:
         with pytest.raises(ValueError, match=f"dataset.idx.{key} must be an "
                            f"integer, got {value!r}"):
             dataset_from(self.spec(paths, **{key: value}))
+
+    @pytest.mark.parametrize("key", list(MNIST_NAMES))
+    def test_paths_must_be_paths(self, tmp_path, key):
+        # an integer was opened as a file descriptor: 0 read standard input
+        paths = write_pairs(tmp_path, np.zeros((1, 1, 1)))
+        paths[key] = 0
+        with pytest.raises(ConfigError, match=f"^dataset.idx.{key} must be "
+                           "a path, got 0$"):
+            dataset_from(self.spec(paths))
+
+    def test_pathlib_paths_load(self, tmp_path):
+        paths = write_pairs(tmp_path, np.zeros((1, 1, 1)))
+        ds = dataset_from(self.spec({k: Path(v) for k, v in paths.items()}))
+        assert len(ds.train) == len(ds.test) == 1
 
 
 class TestAddSamples:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -5,9 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import random_net
-from relukit.model_io import (ModelFormatError, load_model,
-                              network_to_document, save_model)
-from relukit.network import FullyConnectedNode, SequentialNetwork, validate
+from relukit.cli import main
+from relukit.model_io import (ModelFormatError, document_to_network,
+                              load_model, network_to_document, save_model)
+from relukit.network import (BatchNorm1DNode, FullyConnectedNode, ReLUNode,
+                             SequentialNetwork, validate)
+from relukit.pruning import network_slim, weight_prune
 
 
 def params_of(net):
@@ -139,3 +143,98 @@ def test_non_integer_size_rejected(tmp_path, where, value, message):
         doc["layers"][where]["dim" if where == 1 else "in"] = value
     with pytest.raises(ModelFormatError, match=re.escape(message)):
         load_model(write_doc(tmp_path, doc))
+
+
+def _all_kinds_doc():
+    """The document of a seeded net that has a layer of every kind."""
+    return network_to_document(random_net([3, 4, 2], seed=7, with_bn=True))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(layers=[5]), "layer 0: expected an object"),
+    (lambda d: d.update(layers=None), "layers must be a list"),
+    (lambda d: d.update(name=None), "name must be a string, got None"),
+    (lambda d: d.update(name=5), "name must be a string, got 5"),
+    (lambda d: d["layers"][1].update(eps=True),
+     "layer 1: eps must be a number, got True"),
+    (lambda d: d["layers"][1].update(eps="0.5"),
+     "layer 1: eps must be a number, got '0.5'"),
+    (lambda d: d["layers"][0].update(bias=["1", "2", "3", "4"]),
+     "layer 0: bias must hold only numbers, found '1'"),
+    (lambda d: d["layers"][0].update(bias=[1, None, 3, 4]),
+     "layer 0: bias must hold only numbers, found None"),
+    (lambda d: d["layers"][1].update(gamma=[True, False, True, True]),
+     "layer 1: gamma must hold only numbers, found True"),
+], ids=["layer not an object", "layers null", "name null", "name int",
+        "eps true", "eps string", "bias strings", "bias null entry",
+        "gamma booleans"])
+def test_misread_document_rejected(tmp_path, edit, message, capsys):
+    # each of these raised a bare TypeError or loaded a converted value
+    doc = _all_kinds_doc()
+    edit(doc)
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        document_to_network(doc)
+    assert main(["info", "--model", write_doc(tmp_path, doc)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def _bad_values(value):
+    bad = ["1", None, True]
+    if isinstance(value, list):
+        bad.append([[1.0, 2.0], [3.0]])  # ragged
+    return bad
+
+
+def _layer_cases():
+    """(layer index, key, bad value) for every key of every layer record
+    but its kind: the fields of its node class and its size keys."""
+    doc = _all_kinds_doc()
+    nodes = document_to_network(doc).nodes
+    assert {type(n) for n in nodes} == {FullyConnectedNode, BatchNorm1DNode,
+                                        ReLUNode}
+    cases = []
+    for i, (record, node) in enumerate(zip(doc["layers"], nodes)):
+        assert {f.name for f in dataclasses.fields(node)} <= set(record)
+        for key, value in record.items():
+            if key != "kind":
+                cases += [(i, key, bad) for bad in _bad_values(value)]
+    return cases
+
+
+@pytest.mark.parametrize("index, key, value", _layer_cases())
+def test_every_layer_field_typed(index, key, value):
+    doc = _all_kinds_doc()
+    doc["layers"][index][key] = value
+    with pytest.raises(ModelFormatError) as info:
+        document_to_network(doc)
+    assert str(info.value).startswith(f"layer {index}: {key} must ")
+
+
+@pytest.mark.parametrize("key, value", [
+    (f.name, bad) for f in dataclasses.fields(SequentialNetwork)
+    if f.name != "nodes"
+    for bad in ([None, 5, True] if f.type is str else ["1", None, True, 2.5])])
+def test_every_network_field_typed(key, value):
+    doc = _all_kinds_doc()
+    doc[key] = value
+    with pytest.raises(ModelFormatError, match=f"^{key} must be "):
+        document_to_network(doc)
+
+
+def _seeded_nets():
+    for seed in range(3):
+        for with_bn in (True, False):
+            net = random_net([4, 6, 5, 3], seed=seed, with_bn=with_bn)
+            yield net
+            yield weight_prune(net, ratio=0.5)
+            if with_bn:
+                yield network_slim(net, 0.4)
+
+
+def test_write_read_write_is_byte_identical(tmp_path):
+    path = tmp_path / "m.json"
+    for net in _seeded_nets():
+        save_model(net, str(path))
+        first = path.read_bytes()
+        save_model(load_model(str(path)), str(path))
+        assert path.read_bytes() == first

@@ -6,7 +6,9 @@ from oracles import reference_validate
 from relukit.network import (BatchNorm1DNode, FullyConnectedNode, ReLUNode,
                              SequentialNetwork, fold_batchnorm, forward,
                              forward_batch, network_stats, validate)
+from relukit.datasets import synth_blobs
 from relukit.tensor import NonFiniteError, ShapeMismatchError
+from relukit.training import TrainingConfig, init_network, train
 
 
 def identity_bn(dim, eps=0.0):
@@ -264,3 +266,49 @@ class TestNetworkStats:
     def test_mnist_architecture_widths(self):
         net = random_net([784, 64, 32, 16, 10], seed=0)
         assert network_stats(net)["widths"] == [784, 64, 32, 16, 10]
+
+    @pytest.mark.parametrize("with_bn", [True, False])
+    def test_param_count_is_the_sum_of_array_sizes(self, with_bn):
+        net = random_net([5, 7, 6, 3], seed=2, with_bn=with_bn)
+        assert network_stats(net)["param_count"] == sum(
+            a.size for node in net.nodes for a in vars(node).values()
+            if isinstance(a, np.ndarray))
+
+
+def _arrays(net):
+    return [a for node in net.nodes for a in vars(node).values()
+            if isinstance(a, np.ndarray)]
+
+
+def _trained_net(with_bn):
+    ds = synth_blobs(0, 10, 3, 4, 0.1)
+    net = init_network([4, 6, 3], seed=0, with_bn=with_bn)
+    return train(net, ds, TrainingConfig(epochs=1, batch_size=8))[0]
+
+
+class TestCopiesShareNoArray:
+    @pytest.mark.parametrize("make", [
+        lambda: random_net([4, 6, 5, 3], seed=1, with_bn=True),
+        lambda: random_net([4, 6, 5, 3], seed=1, with_bn=False),
+        lambda: _trained_net(True),  # arrays are views of one vector
+        lambda: _trained_net(False)],
+        ids=["bn", "no bn", "trained bn", "trained no bn"])
+    @pytest.mark.parametrize("copy", [SequentialNetwork.copy, fold_batchnorm],
+                             ids=["copy", "fold"])
+    def test_no_shared_memory(self, make, copy):
+        net = make()
+        out = copy(net)
+        assert _arrays(out)
+        for a in _arrays(out):
+            assert not any(np.shares_memory(a, b) for b in _arrays(net))
+
+    def test_copy_is_equal_and_independent(self):
+        net = _trained_net(True)
+        out = net.copy()
+        assert [type(n) for n in out.nodes] == [type(n) for n in net.nodes]
+        for a, b in zip(_arrays(out), _arrays(net)):
+            assert np.array_equal(a, b)
+        out.nodes[0].weights[0, 0] += 1.0
+        out.nodes[1].eps = 0.5
+        assert out.nodes[0].weights[0, 0] != net.nodes[0].weights[0, 0]
+        assert net.nodes[1].eps == 1e-5
