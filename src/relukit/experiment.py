@@ -13,11 +13,10 @@ import numpy as np
 
 from .config import (ConfigError, _from_signature, bab_config_from,
                      dataset_from, training_config_from, validate_keys)
-from .network import network_stats
 from .properties import Box, robustness_property
 from .pruning import PruningConfig, prune_pipeline
 from .tensor import as_declared, as_float, as_int
-from .training import evaluate, init_network, train
+from .training import init_network, train
 from .verifier import Status, _solver, verify_bab
 
 __all__ = ["robustness_queries", "run_experiment"]
@@ -51,17 +50,16 @@ def _verify_variant(name, net, queries, bab_cfg):
             "status": res.status.value,
             "time": time.monotonic() - t0,
             "root_unstable": res.stats["root_unstable"],
-            "nodes": res.stats.get("nodes", 0),
+            "nodes": res.stats["nodes"],
         })
     solved = sum(1 for r in instances if r["status"] != Status.UNKNOWN.value)
-    mean_unstable = (float(np.mean([r["root_unstable"] for r in instances]))
-                     if instances else 0.0)
     return {"variant": name, "solved": solved,
             "verified": sum(1 for r in instances
                             if r["status"] == Status.VERIFIED.value),
             "falsified": sum(1 for r in instances
                              if r["status"] == Status.FALSIFIED.value),
-            "mean_root_unstable": mean_unstable,
+            "mean_root_unstable": float(np.mean([r["root_unstable"]
+                                                 for r in instances])),
             "instances": instances}
 
 
@@ -69,8 +67,9 @@ def run_experiment(config: dict) -> dict:
     """Run the four-variant pruning/verification comparison.
 
     Returns a result document: per-variant rows with solved counts, mean
-    root-unstable ReLU counts and per-instance records, plus the trained
-    variant summaries.
+    root-unstable ReLU counts and per-instance records, plus each variant's
+    stage of the prune report that made it: Baseline and Sparse are the
+    input stages of the WP and NS reports, WP and NS their last stages.
     """
     required = ("dataset", "hidden", "baseline_train", "sparse_train")
     validate_keys(config, required + ("seed", "fine_tune", "wp", "ns",
@@ -104,25 +103,22 @@ def run_experiment(config: dict) -> dict:
     fresh = init_network(widths, seed=seed, with_bn=True, name="experiment")
     baseline, _ = train(fresh, dataset, base_cfg)
     sparse, _ = train(fresh, dataset, sparse_cfg)
-    wp_net, _ = prune_pipeline(baseline, dataset, wp_cfg)
-    ns_net, _ = prune_pipeline(sparse, dataset, ns_cfg)
+    wp_net, wp_report = prune_pipeline(baseline, dataset, wp_cfg)
+    ns_net, ns_report = prune_pipeline(sparse, dataset, ns_cfg)
 
     variants = [("Baseline", baseline), ("Sparse", sparse),
                 ("WP", wp_net), ("NS", ns_net)]
     _solver()  # loads HiGHS now, so that no query's time carries the load
     rows = [_verify_variant(name, net, queries, bab_cfg)
             for name, net in variants]
-    summary = {}
-    for name, net in variants:
-        entry = {"widths": network_stats(net)["widths"]}
-        if dataset.test:
-            entry["test_accuracy"] = evaluate(net, dataset.test)[0]
-        summary[name] = entry
     return {
         "config": {"seed": seed, "hidden": hidden,
                    "queries": len(queries),
                    "verify": dataclasses.asdict(bab_cfg)},
-        "networks": summary,
+        "networks": {"Baseline": wp_report["stages"][0],
+                     "Sparse": ns_report["stages"][0],
+                     "WP": wp_report["stages"][-1],
+                     "NS": ns_report["stages"][-1]},
         "table": [{k: row[k] for k in ("variant", "solved", "verified",
                                        "falsified", "mean_root_unstable")}
                   for row in rows],

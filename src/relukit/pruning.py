@@ -56,8 +56,6 @@ def _ratio_cutoff(magnitudes: np.ndarray, ratio: float) -> float:
     """Cutoff so that entries strictly below it are the smallest `ratio`
     fraction; ties at the cutoff are kept."""
     _check_amount(ratio=ratio)
-    if magnitudes.size == 0:
-        return 0.0
     k = int(np.floor(ratio * magnitudes.size))
     if k == 0:
         return 0.0

@@ -14,6 +14,8 @@ __all__ = ["RepairConfig", "repair"]
 
 @dataclass
 class RepairConfig:
+    """Repair loop settings. Whatever the quota above 1, repair adds at most
+    2 counterexamples per property per round."""
     max_iterations: int = 10
     trainer: TrainingConfig = field(default_factory=lambda: TrainingConfig(epochs=10))
     counterexamples_per_property_per_round: int = 1
@@ -46,11 +48,11 @@ def repair(net: SequentialNetwork, properties: list, dataset: Dataset,
            config: RepairConfig):
     """Repair loop; returns (net, report).
 
-    Each Falsified property contributes its counterexample (and extra sampled
-    witnesses up to the per-round quota), labeled with the property's
-    reference class, to the training split before retraining. The final
-    per-property statuses are produced by a fresh verification pass on the
-    returned network.
+    Each Falsified property adds at most 2 counterexamples per property per
+    round, labeled with its reference class, to the training split before
+    retraining: the verifier's, plus one sampled witness when the per-round
+    quota is above 1. The final per-property statuses are produced by a
+    fresh verification pass on the returned network.
     """
     _require_labeled(properties)
     iterations = []
@@ -71,17 +73,16 @@ def repair(net: SequentialNetwork, properties: list, dataset: Dataset,
             if res.status != Status.FALSIFIED:
                 continue  # Unknown contributes no counterexamples
             label = int(prop.source["label"])
-            witnesses = [res.counterexample.input]
             quota = config.counterexamples_per_property_per_round
-            if len(witnesses) < quota:
-                extra = falsify_sample(net, prop,
-                                       n_samples=64 * quota,
-                                       seed=config.verifier.seed + it)
-                if extra is not None:
-                    witnesses.append(extra.input)
-            for x in witnesses[:quota]:
-                dataset.add_train_sample(Sample(x, label))
-                added += 1
+            witnesses = [res.counterexample]
+            if quota > 1:  # falsify_sample returns one witness or None
+                witnesses.append(falsify_sample(
+                    net, prop, n_samples=64 * quota,
+                    seed=config.verifier.seed + it))
+            for cex in witnesses:
+                if cex is not None:
+                    dataset.add_train_sample(Sample(cex.input, label))
+                    added += 1
         total_added += added
 
         if config.from_scratch:

@@ -114,6 +114,7 @@ def as_declared(value, kind, name: str):
 
 
 def check_fields(obj) -> None:
-    """as_declared on every field of the dataclass instance obj."""
+    """Each field of the dataclass instance obj set to what as_declared
+    returns for it, so an int field holds a Python int."""
     for f in dataclasses.fields(obj):
-        as_declared(getattr(obj, f.name), f.type, f.name)
+        setattr(obj, f.name, as_declared(getattr(obj, f.name), f.type, f.name))

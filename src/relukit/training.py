@@ -385,35 +385,22 @@ def _misclassified(net: SequentialNetwork, xs, ys) -> int:
     return wrong
 
 
-def _literal_objective(net: SequentialNetwork, err01: float,
-                       n_samples: int, lam: float):
-    """0-1 empirical risk plus lambda times the unsquared L2 regularizer."""
-    sq = sum(float(np.sum(n.weights ** 2)) for n in net.nodes
-             if isinstance(n, FullyConnectedNode))
-    reg = np.sqrt(sq) / (2 * n_samples)
-    return err01 + lam * reg, reg
-
-
 def _accuracies(net: SequentialNetwork, train_split, test_split,
-                lam: float):
-    """(0-1 error on the train split, test accuracy or NaN without a test
-    split, literal objective, literal regularizer) of net; each split is
-    (xs, checked labels) or None."""
+                lam: float) -> dict:
+    """The measured part of net's epoch entry: the literal objective (0-1
+    empirical risk plus lambda times the unsquared L2 regularizer), its
+    parts, and the train and test accuracies (NaN without a test split);
+    each split is (xs, checked labels) or None."""
     n = len(train_split[1])
     err01 = _misclassified(net, *train_split) / n
     test_acc = (1.0 - _misclassified(net, *test_split) / len(test_split[1])
                 if test_split else float("nan"))
-    return (err01, test_acc) + _literal_objective(net, err01, n, lam)
-
-
-def _metrics_entry(epoch: int, losses: dict, accuracies) -> dict:
-    """One epoch's metrics from its mean losses, keyed "loss" and
-    "loss_<part>", and its _accuracies."""
-    err01, test_acc, literal_j, literal_reg = accuracies
-    return {"epoch": epoch, **losses,
-            "literal_objective": literal_j,
+    sq = sum(float(np.sum(node.weights ** 2)) for node in net.nodes
+             if isinstance(node, FullyConnectedNode))
+    reg = np.sqrt(sq) / (2 * n)
+    return {"literal_objective": err01 + lam * reg,
             "literal_err01": err01,
-            "literal_regularizer": literal_reg,
+            "literal_regularizer": reg,
             "train_accuracy": 1.0 - err01,
             "test_accuracy": test_acc}
 
@@ -471,7 +458,7 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
         from concurrent.futures import ThreadPoolExecutor
         worker = ThreadPoolExecutor(1)
     with worker:
-        pending = None  # (epoch, losses, future) of the pass not yet joined
+        pending = None  # (losses, future) of the pass not yet joined
         for epoch in range(config.epochs):
             try:
                 perm = rng.permutation(n)
@@ -499,20 +486,18 @@ def train(net: SequentialNetwork, dataset: Dataset, config: TrainingConfig):
                 # The pass of the epoch before is joined even when this
                 # epoch raised, so its error is the one that leaves.
                 if pending is not None:
-                    metrics.append(_metrics_entry(*pending[:2],
-                                                  pending[2].result()))
+                    metrics.append({**pending[0], **pending[1].result()})
             n_batches = len(starts)
-            losses = {"loss": epoch_loss / n_batches,
+            losses = {"epoch": epoch, "loss": epoch_loss / n_batches,
                       **{f"loss_{key}": part / n_batches
                          for key, part in epoch_parts.items()}}
             if beside:
-                pending = (epoch, losses,
+                pending = (losses,
                            worker.submit(_accuracies, net.copy(), *splits))
             else:
-                metrics.append(_metrics_entry(epoch, losses,
-                                              _accuracies(net, *splits)))
+                metrics.append({**losses, **_accuracies(net, *splits)})
         if pending is not None:
-            metrics.append(_metrics_entry(*pending[:2], pending[2].result()))
+            metrics.append({**pending[0], **pending[1].result()})
     return net, metrics
 
 

@@ -16,9 +16,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .network import (_ARRAYS, _SCALARS, FullyConnectedNode, ReLUNode,
-                      SequentialNetwork, _require_valid, fold_batchnorm,
-                      forward, forward_batch)
+from .network import (_ARRAYS, _SCALARS, FullyConnectedNode,
+                      SequentialNetwork, fold_batchnorm, forward,
+                      forward_batch)
 from .properties import (Box, Property, satisfies_disjunct,
                          violated_disjunct)
 from .tensor import check_fields
@@ -102,9 +102,8 @@ class BabConfig:
 
 
 class _Prepared(NamedTuple):
-    """A valid network's batch-norm fold (the network itself when it has no
-    batch norm) and its bounding plan: per FC node of the fold, from copies
-    of its arrays, (W, b, max(W, 0), min(W, 0), [W; -W], [b; -b], out_dim)."""
+    """A valid network's batch-norm fold and its bounding plan: per FC node
+    of the fold, (W, b, max(W, 0), min(W, 0), [W; -W], [b; -b], out_dim)."""
     fold: SequentialNetwork
     plan: tuple
 
@@ -128,16 +127,11 @@ def _prepared(net: SequentialNetwork, box: Box = None,
            b"".join(a.tobytes() for a in arrays))
     memo = getattr(_thread, "prepared", None)
     if memo is None or memo[0] != key:
-        fold = None
-        if all(isinstance(n, (FullyConnectedNode, ReLUNode))
-               for n in net.nodes):
-            _require_valid(net)
-        else:
-            fold = fold_batchnorm(net)
+        fold = fold_batchnorm(net)
         plan = []
-        for n in (net if fold is None else fold).nodes:
+        for n in fold.nodes:
             if isinstance(n, FullyConnectedNode):
-                w, b = np.array(n.weights), np.array(n.bias)
+                w, b = n.weights, n.bias
                 plan.append((w, b, np.maximum(w, 0.0), np.minimum(w, 0.0),
                              np.concatenate([w, -w]), np.concatenate([b, -b]),
                              b.size))
@@ -150,7 +144,7 @@ def _prepared(net: SequentialNetwork, box: Box = None,
     if box is not None and box.dim != net.input_dim:
         raise ValueError(f"box dim {box.dim} does not match network "
                          f"{net.name!r} ({net.input_dim} in)")
-    return _Prepared(net if memo[1] is None else memo[1], memo[2])
+    return _Prepared(*memo[1:])
 
 
 def interval_forward(net: SequentialNetwork, box: Box):

@@ -156,3 +156,33 @@ def test_root_unstable_is_root_unstable_count(monkeypatch):
     assert len(got) == 80
     assert got == counts
     assert any(counts)
+
+
+@pytest.mark.parametrize("config", [small_config(), without_fine_tune()],
+                         ids=["fine-tune", "wp-threshold-no-fine-tune"])
+def test_each_variant_is_its_prune_report_stage(monkeypatch, config):
+    """Baseline and Sparse are the input stages of the WP and NS reports;
+    WP and NS are the last stages of their own reports."""
+    reports = {}
+    inner = relukit.experiment.prune_pipeline
+
+    def capturing(net, dataset, cfg):
+        out, report = inner(net, dataset, cfg)
+        reports[cfg.method] = report
+        return out, report
+
+    monkeypatch.setattr(relukit.experiment, "prune_pipeline", capturing)
+    networks = run_experiment(config)["networks"]
+    wp, ns = (reports[m]["stages"]
+              for m in ("weight_pruning", "network_slimming"))
+    stages = {"Baseline": wp[0], "Sparse": ns[0], "WP": wp[-1], "NS": ns[-1]}
+    assert list(networks) == list(stages)
+    assert all(networks[v] is stages[v] for v in stages)
+    for entry in networks.values():
+        assert list(entry) == ["stage", "widths", "param_count", "sparsity",
+                               "train_accuracy", "test_accuracy"]
+    assert [networks[v]["stage"] for v in networks] == (
+        ["input", "input", "fine_tune", "fine_tune"] if "fine_tune" in config
+        else ["input", "input", "weight_pruning", "network_slimming"])
+    if "fine_tune" not in config:
+        assert networks["WP"]["sparsity"] > 0.0

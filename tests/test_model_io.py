@@ -238,3 +238,18 @@ def test_write_read_write_is_byte_identical(tmp_path):
         first = path.read_bytes()
         save_model(load_model(str(path)), str(path))
         assert path.read_bytes() == first
+
+
+def test_numpy_integer_sizes_round_trip(tmp_path):
+    # the node and network classes store a numpy integer size as an int
+    net = SequentialNetwork(
+        "x", np.int64(2),
+        [FullyConnectedNode(np.eye(2), np.zeros(2)), ReLUNode(np.int64(2)),
+         FullyConnectedNode(np.eye(2), np.zeros(2))])
+    assert type(net.input_dim) is int and type(net.nodes[1].dim) is int
+    path = tmp_path / "model.json"
+    save_model(net, str(path))
+    loaded = load_model(str(path))
+    for a, b in zip(params_of(net), params_of(loaded), strict=True):
+        assert np.array_equal(a, b)
+    assert type(loaded.input_dim) is int and type(loaded.nodes[1].dim) is int

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 import typing
 from typing import Optional
@@ -131,3 +132,9 @@ class TestConfigFieldTypes:
         for f in dataclasses.fields(cls):
             kinds = declared_kinds(f.type)
             assert wrong_values(kinds) or kinds <= NESTED, f.name
+
+
+def test_numpy_integer_field_is_stored_as_int():
+    cfg = BabConfig(max_nodes=np.int64(5))
+    assert type(cfg.max_nodes) is int
+    assert json.loads(json.dumps(dataclasses.asdict(cfg)))["max_nodes"] == 5

@@ -310,6 +310,28 @@ class TestTrain:
         assert last["train_accuracy"] == evaluate(trained, ds.train)[0]
         assert last["test_accuracy"] == evaluate(trained, ds.test)[0]
 
+    @pytest.mark.parametrize("beside", [False, True], ids=["inline", "beside"])
+    def test_metrics_entry_keys_and_literal_objective(self, beside):
+        if beside:
+            net, ds = _blobs784_case()
+        else:
+            net = init_network([2, 8, 3], seed=3)
+            ds = synth_blobs(3, 30, 3, 2, 0.2)
+        cfg = TrainingConfig(epochs=2, batch_size=32, l2_lambda=0.5)
+        trained, metrics = train(net, ds, cfg)
+        assert [list(entry) for entry in metrics] == [[
+            "epoch", "loss", "loss_surrogate", "loss_l2", "loss_slim",
+            "literal_objective", "literal_err01", "literal_regularizer",
+            "train_accuracy", "test_accuracy"]] * 2
+        assert [entry["epoch"] for entry in metrics] == [0, 1]
+        last = metrics[-1]
+        weights = np.concatenate([n.weights.ravel() for n in trained.nodes
+                                  if isinstance(n, FullyConnectedNode)])
+        assert last["literal_regularizer"] == pytest.approx(
+            np.linalg.norm(weights) / (2 * len(ds.train)))
+        assert last["literal_objective"] == (
+            last["literal_err01"] + 0.5 * last["literal_regularizer"])
+
     def test_learns_blobs(self):
         ds = synth_blobs(1, 50, 2, 2, 0.05)
         net = init_network([2, 16, 2], seed=1)

@@ -15,7 +15,7 @@ from conftest import overflowing_fold_net, random_net
 from oracles import (enumerated_pattern_verdict, exact_pattern_verdict,
                      fm_feasible, reference_bound, reference_fm_feasible,
                      relu_relaxation)
-from relukit import verifier
+from relukit import network, verifier
 from relukit.datasets import synth_blobs
 from relukit.network import (FullyConnectedNode, ReLUNode, SequentialNetwork,
                              fold_batchnorm, forward, forward_batch, validate)
@@ -1463,7 +1463,7 @@ class TestFoldMemo:
         [verify_bab(net, p) for p in props]
         mutate(net)
         after = [result_facts(verify_bab(net, p)) for p in props]
-        assert len(folds) == (2 if with_bn else 0)
+        assert len(folds) == 2
         assert fold_arrays(verifier._prepared(net).fold) != before
         assert fold_arrays(verifier._prepared(net).fold) == \
             fold_arrays(fold_batchnorm(net))
@@ -1505,9 +1505,11 @@ class TestFoldMemo:
         net = random_net((3, 6, 5, 2), seed=3, with_bn=False)
         folds = self.count_folds(monkeypatch)
         checks = []
-        monkeypatch.setattr(verifier, "_require_valid", checks.append)
-        assert all(verifier._prepared(net).fold is net for _ in range(3))
-        assert checks == [net] and folds == []
+        monkeypatch.setattr(network, "_require_valid", checks.append)
+        fold = verifier._prepared(net).fold
+        assert fold is not net
+        assert all(verifier._prepared(net).fold is fold for _ in range(2))
+        assert checks == [net] and folds == [net]
 
     @pytest.mark.parametrize("with_bn", [True, False])
     def test_memo_shares_no_memory_with_the_net(self, with_bn):
